@@ -19,8 +19,8 @@
 //!   (default 2e6),
 //! - `MINJIE_BENCH_OUT=path` — also emit the `BENCH_fig8.json` report
 //!   (sim-MIPS per personality, sim-kilocycles/sec + suite CPI per
-//!   cycle-model preset, and a timed 12-job `--ref nemu-trace` smoke
-//!   campaign) to `path`.
+//!   cycle-model preset, and a timed 12-job DiffTest smoke campaign)
+//!   to `path`.
 
 use minjie_bench::fig8;
 use minjie_bench::geomean;
@@ -84,7 +84,7 @@ fn main() {
         // the table above interleaves personalities per workload, the
         // report wants one contiguous timed pass per personality).
         let personalities = fig8::measure_personalities(scale, fuel);
-        let campaign = fig8::measure_campaign("nemu-trace", 12, 2_000_000);
+        let campaign = fig8::measure_campaign(12, 2_000_000);
         let sim_cycles = std::env::var("MINJIE_BENCH_CYCLES")
             .ok()
             .and_then(|v| v.parse().ok())

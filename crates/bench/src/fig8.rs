@@ -15,14 +15,14 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 4,
+//!   "schema_version": 5,
 //!   "figure": "fig8",
 //!   "workload": "spec-like-suite@Test",
 //!   "fuel": 200000000,
 //!   "personalities": {
 //!     "nemu-trace": { "paper_counterpart": "...", "instructions": 123 }
 //!   },
-//!   "campaign": { "ref": "nemu-trace", "jobs": 12, "halted": 12 },
+//!   "campaign": { "jobs": 12, "halted": 12 },
 //!   "cycle_model": {
 //!     "small-nh": { "cycles": 456, "instret": 123, "cpi_milli": 3707,
 //!                   "sampled_cpi_milli": 3800, "sampled_cpi_err_milli": 25 }
@@ -57,7 +57,10 @@ use xscore::XsConfig;
 /// CPI estimate of [`SAMPLED_WORKLOAD`] and its per-mille error against
 /// the full simulation of the same workload. Both deterministic; the
 /// validator enforces the [`SAMPLED_ERR_BOUND_MILLI`] accuracy gate.
-pub const SCHEMA_VERSION: u64 = 4;
+///
+/// v5: drops `campaign.ref` — DiffTest has a single REF, so the smoke
+/// campaign no longer names one.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// The workload whose sampled-vs-full CPI error the report tracks.
 pub const SAMPLED_WORKLOAD: &str = "sjeng";
@@ -90,8 +93,6 @@ pub struct PersonalityMeasurement {
 /// One smoke campaign timed end to end.
 #[derive(Debug, Clone)]
 pub struct CampaignMeasurement {
-    /// DiffTest REF personality the campaign ran against.
-    pub reference: String,
     /// Jobs executed.
     pub jobs: u64,
     /// Jobs that halted cleanly (deterministic for fixed seeds).
@@ -243,10 +244,9 @@ pub fn measure_cycle_model(scale: Scale, max_cycles: u64) -> Vec<CycleModelMeasu
     out
 }
 
-/// Run a fixed-seed smoke campaign against `reference` and measure
-/// end-to-end jobs/sec. Seeds start at 1000 so the jobs differ from the
+/// Run a fixed-seed smoke campaign and measure end-to-end jobs/sec. Seeds start at 1000 so the jobs differ from the
 /// fuzz tier's fixed-seed rounds.
-pub fn measure_campaign(reference: &str, jobs: usize, max_cycles: u64) -> CampaignMeasurement {
+pub fn measure_campaign(jobs: usize, max_cycles: u64) -> CampaignMeasurement {
     let specs: Vec<JobSpec> = (0..jobs)
         .map(|i| {
             JobSpec::new(
@@ -254,7 +254,6 @@ pub fn measure_campaign(reference: &str, jobs: usize, max_cycles: u64) -> Campai
                 "small-nh",
             )
             .with_max_cycles(max_cycles)
-            .with_ref(reference)
         })
         .collect();
     let t0 = Instant::now();
@@ -265,7 +264,6 @@ pub fn measure_campaign(reference: &str, jobs: usize, max_cycles: u64) -> Campai
         .run();
     let elapsed = t0.elapsed().as_secs_f64();
     CampaignMeasurement {
-        reference: reference.to_string(),
         jobs: report.summary.total,
         halted: report.summary.halted,
         jobs_per_sec: report.summary.total as f64 / elapsed.max(1e-9),
@@ -294,7 +292,6 @@ pub fn build_report(
         mips.insert(p.name.clone(), Value::F64(p.mips));
     }
     let mut camp = Map::new();
-    camp.insert("ref".into(), Value::String(campaign.reference.clone()));
     camp.insert("jobs".into(), Value::U64(campaign.jobs));
     camp.insert("halted".into(), Value::U64(campaign.halted));
     let mut cmap = Map::new();
@@ -408,14 +405,7 @@ pub fn validate(v: &Value) -> Result<(), String> {
     }
 
     let camp = v.get_or_null("campaign");
-    expect_keys(camp, "campaign", &["halted", "jobs", "ref"])?;
-    let reference = camp
-        .get_or_null("ref")
-        .as_str()
-        .ok_or("campaign.ref must be a string")?;
-    if reference != "arch" && !names.contains(&reference) {
-        return Err(format!("campaign.ref {reference:?} is not a known REF"));
-    }
+    expect_keys(camp, "campaign", &["halted", "jobs"])?;
     let jobs = camp.get_or_null("jobs").as_u64().unwrap_or(0);
     let halted = camp.get_or_null("halted").as_u64().unwrap_or(u64::MAX);
     if jobs == 0 || halted > jobs {
@@ -597,7 +587,6 @@ mod tests {
             })
             .collect();
         let c = CampaignMeasurement {
-            reference: "nemu-trace".into(),
             jobs: 12,
             halted: 12,
             jobs_per_sec: 3.5,
@@ -671,12 +660,12 @@ mod tests {
         }
         assert!(validate(&r).is_err(), "zero instructions accepted");
 
-        // An unknown campaign REF.
+        // A campaign REF key from the v4 layout.
         let mut r = sample();
         if let Some(Value::Object(c)) = r.as_object_mut_key("campaign") {
-            c.insert("ref".into(), Value::String("warp-drive".into()));
+            c.insert("ref".into(), Value::String("nemu-trace".into()));
         }
-        assert!(validate(&r).is_err(), "unknown REF accepted");
+        assert!(validate(&r).is_err(), "stale campaign.ref accepted");
 
         // A wall-clock rate smuggled into a cycle-model body entry.
         let mut r = sample();

@@ -79,9 +79,6 @@ pub struct FuzzOpts {
     /// Stream full lifecycle traces on every job (the crash ring is
     /// captured regardless).
     pub lifecycle: bool,
-    /// DiffTest REF personality for every job (None keeps the default
-    /// architectural stepper).
-    pub ref_model: Option<String>,
     /// Mix two-hart litmus recipes into the exploration stream (the
     /// `mp:` coverage family then steers exploitation toward
     /// coherence-event novelty).
@@ -107,7 +104,6 @@ impl FuzzOpts {
             minimize: true,
             triage: true,
             lifecycle: false,
-            ref_model: None,
             mp: false,
             inject_l2_race: false,
         }
@@ -351,9 +347,6 @@ fn job_spec(r: &Recipe, opts: &FuzzOpts) -> JobSpec {
     }
     if opts.lifecycle {
         spec = spec.with_lifecycle();
-    }
-    if let Some(r) = &opts.ref_model {
-        spec = spec.with_ref(r.clone());
     }
     spec
 }

@@ -176,9 +176,6 @@ pub struct JobSpec {
     /// campaign-level policy). Exhausting every attempt is a
     /// [`WallTimeout`](crate::Verdict::WallTimeout).
     pub wall_timeout_ms: Option<u64>,
-    /// DiffTest REF personality name (None keeps the default
-    /// architectural stepper).
-    pub ref_model: Option<String>,
 }
 
 impl JobSpec {
@@ -196,7 +193,6 @@ impl JobSpec {
             lifecycle: false,
             coverage: false,
             wall_timeout_ms: None,
-            ref_model: None,
         }
     }
 
@@ -255,12 +251,6 @@ impl JobSpec {
         self
     }
 
-    /// Select the DiffTest REF personality for this job.
-    pub fn with_ref(mut self, name: impl Into<String>) -> Self {
-        self.ref_model = Some(name.into());
-        self
-    }
-
     /// Resolve the preset slug and apply the job's overrides.
     pub fn build_config(&self) -> Option<XsConfig> {
         let mut cfg = XsConfig::preset(&self.config)?;
@@ -281,9 +271,6 @@ impl JobSpec {
         }
         if self.coverage {
             cfg = cfg.with_coverage();
-        }
-        if let Some(r) = &self.ref_model {
-            cfg = cfg.with_ref_model(r.clone());
         }
         Some(cfg)
     }

@@ -190,19 +190,33 @@ fn load_cached(dir: &Path, spec: &SampleSpec, kernel: &str) -> Option<Profiled> 
     })
 }
 
+/// Write `bytes` to `path` through a temp file and a rename, so a run
+/// cut short never leaves a partial file under the final name.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
+    let tmp = path.with_extension(format!("tmp{}", std::process::id()));
+    std::fs::write(&tmp, bytes)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
+
 /// Write one workload's checkpoint set into the cache. Blobs are named
 /// by content hash, so identical checkpoints from different recipes
-/// share storage; the index ties a recipe to its blob list.
-fn store_cache(dir: &Path, spec: &SampleSpec, p: &Profiled) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
+/// share storage; the index ties a recipe to its blob list. A blob
+/// already on disk is kept only when it holds exactly these bytes, so a
+/// damaged one is repaired rather than missed on every later run.
+///
+/// # Errors
+///
+/// The first I/O failure, naming the path it struck.
+fn store_cache(dir: &Path, spec: &SampleSpec, p: &Profiled) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut blobs = Vec::with_capacity(p.checkpoints.len());
     for c in &p.checkpoints {
         let name = format!("{}.ckpt", c.content_hash());
         let path = dir.join(&name);
-        if !path.exists() {
-            let _ = std::fs::write(&path, c.to_bytes());
+        let bytes = c.to_bytes();
+        if std::fs::read(&path).ok().as_deref() != Some(&bytes[..]) {
+            write_atomic(&path, &bytes)?;
         }
         blobs.push(name);
     }
@@ -216,10 +230,12 @@ fn store_cache(dir: &Path, spec: &SampleSpec, p: &Profiled) {
         blobs,
     };
     let text = serde_json::to_string_pretty(&idx).expect("index serializes");
-    let _ = std::fs::write(index_path(dir, spec, p.kernel.as_str()), text);
+    write_atomic(&index_path(dir, spec, p.kernel.as_str()), text.as_bytes())
 }
 
-/// Profile one workload (or answer it from the cache).
+/// Profile one workload (or answer it from the cache). A cache that
+/// cannot be written only costs the next run a re-profile, so the
+/// failure is a warning, not an error.
 fn profile(spec: &SampleSpec, kernel: &str) -> Profiled {
     if let Some(dir) = &spec.checkpoint_dir {
         if let Some(p) = load_cached(dir, spec, kernel) {
@@ -241,7 +257,9 @@ fn profile(spec: &SampleSpec, kernel: &str) -> Profiled {
         total_intervals: set.total_intervals,
     };
     if let Some(dir) = &spec.checkpoint_dir {
-        store_cache(dir, spec, &p);
+        if let Err(e) = store_cache(dir, spec, &p) {
+            eprintln!("warning: checkpoint cache not written: {e}");
+        }
     }
     p
 }
@@ -334,4 +352,59 @@ pub fn run_sampled(spec: &SampleSpec) -> CampaignReport {
     }
     report.sampling = sampling;
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("minjie-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn damaged_cache_blob_is_repaired() {
+        let dir = scratch_dir("cache-repair");
+        let spec = SampleSpec::new(vec!["sjeng".into()], vec!["small-nh".into()])
+            .with_interval(8_000)
+            .with_max_checkpoints(2)
+            .with_checkpoint_dir(&dir);
+        let first = profile(&spec, "sjeng");
+        let blob = dir.join(format!("{}.ckpt", first.checkpoints[0].content_hash()));
+        let bytes = std::fs::read(&blob).expect("blob cached");
+        std::fs::write(&blob, &bytes[..bytes.len() / 2]).unwrap();
+        assert!(
+            load_cached(&dir, &spec, "sjeng").is_none(),
+            "truncated blob accepted"
+        );
+
+        // The miss re-profiles and rewrites the damaged blob.
+        profile(&spec, "sjeng");
+        let repaired = Checkpoint::try_from_bytes(&std::fs::read(&blob).unwrap())
+            .expect("repaired blob loads");
+        assert_eq!(repaired.content_hash(), first.checkpoints[0].content_hash());
+        assert!(
+            load_cached(&dir, &spec, "sjeng").is_some(),
+            "cache still misses"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cache_write_failure_names_the_path() {
+        let file = scratch_dir("cache-blocked");
+        std::fs::write(&file, b"not a directory").unwrap();
+        let spec = SampleSpec::new(vec![], vec![]);
+        let p = Profiled {
+            kernel: "none".into(),
+            checkpoints: Vec::new(),
+            total_instructions: 0,
+            total_intervals: 0,
+        };
+        let err = store_cache(&file, &spec, &p).expect_err("a file is not a cache dir");
+        assert!(err.contains(&file.display().to_string()), "{err}");
+        std::fs::remove_file(&file).unwrap();
+    }
 }

@@ -29,7 +29,8 @@ use xscore::{CpiStack, InjectedBug};
 /// v5: sample sources — the `(kernel, personality, interval_len,
 /// interval, warmup, window)` recipe re-derives the checkpoint a sample
 /// job resumed from, keeping bundles free of memory images.
-pub const BUNDLE_SCHEMA_VERSION: u64 = 5;
+/// v6: the `ref_model` field is gone — DiffTest has one REF.
+pub const BUNDLE_SCHEMA_VERSION: u64 = 6;
 
 /// Commit-trace rows retained in the bundle (the tail closest to the
 /// failure point).
@@ -244,9 +245,6 @@ pub struct TriageBundle {
     pub max_cycles: u64,
     /// LightSSS snapshot interval.
     pub lightsss_interval: Option<u64>,
-    /// DiffTest REF personality (None = default architectural stepper).
-    /// Recorded so a replay re-verifies against the same REF tier.
-    pub ref_model: Option<String>,
     /// What ended the job: `"diverged"`, `"timeout"`, `"panicked"`, or
     /// `"forbidden-outcome"`.
     pub trigger: String,
@@ -387,7 +385,6 @@ fn base_bundle(job_index: u64, spec: &JobSpec, trigger: &str) -> TriageBundle {
         lifecycle: spec.lifecycle,
         max_cycles: spec.max_cycles,
         lightsss_interval: spec.lightsss_interval,
-        ref_model: spec.ref_model.clone(),
         trigger: trigger.to_string(),
         snapshot_cycle: 0,
         fallback_reset: true,
@@ -616,9 +613,6 @@ pub fn bundle_spec(b: &TriageBundle) -> JobSpec {
     if b.lifecycle {
         spec = spec.with_lifecycle();
     }
-    if let Some(r) = &b.ref_model {
-        spec = spec.with_ref(r.clone());
-    }
     spec
 }
 
@@ -641,9 +635,16 @@ pub struct BundleVerification {
 ///
 /// # Errors
 ///
-/// Setup failures (an unknown configuration preset) that prevent the
-/// run from even starting.
+/// A bundle written under another schema version, or a setup failure
+/// (an unknown configuration preset) that prevents the run from even
+/// starting.
 pub fn verify_bundle(b: &TriageBundle) -> Result<BundleVerification, String> {
+    if b.schema_version != BUNDLE_SCHEMA_VERSION {
+        return Err(format!(
+            "bundle schema version {} is not the supported version {BUNDLE_SCHEMA_VERSION}",
+            b.schema_version
+        ));
+    }
     let spec = bundle_spec(b);
     let Some(cfg) = spec.build_config() else {
         return Err(format!("unknown configuration preset `{}`", b.config));
@@ -927,6 +928,15 @@ mod tests {
         let j2 = serde_json::to_string(&bundle.clone()).unwrap();
         assert_eq!(j1, j2);
         assert!(bundle.render().contains("triage bundle"));
+        // A bundle written under another schema is refused, not replayed.
+        let mut stale = bundle.clone();
+        stale.schema_version = 5;
+        let err = verify_bundle(&stale).expect_err("stale schema is refused");
+        let current = format!("version {BUNDLE_SCHEMA_VERSION}");
+        assert!(
+            err.contains("version 5 ") && err.contains(&current),
+            "{err}"
+        );
     }
 
     #[test]

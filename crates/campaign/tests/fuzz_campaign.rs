@@ -83,25 +83,3 @@ fn injected_fuzz_report_is_deterministic() {
     let b = run_fuzz(&bug_opts(InjectedBug::MulLowBit));
     assert_eq!(a.report.deterministic_json(), b.report.deterministic_json());
 }
-
-/// The divergence oracle is REF-independent: every interpreter
-/// personality in [`nemu::registry`] catches the same deliberate DUT
-/// corruption. Derived from the registry rather than a written-out
-/// list, so a new personality cannot silently skip this tier.
-#[test]
-fn every_personality_catches_injected_bug() {
-    let names = nemu::registry::names();
-    assert!(names.len() >= 5, "personality registry lost a tier: {names:?}");
-    for name in names {
-        let mut opts = bug_opts(InjectedBug::MulLowBit);
-        opts.triage = false; // reproduction depth is covered above; this
-                             // tier only pins detection per REF
-        opts.ref_model = Some(name.to_string());
-        let out = run_fuzz(&opts);
-        assert!(
-            out.report.summary.diverged > 0,
-            "REF {name} missed MulLowBit: {}",
-            out.report.deterministic_json()
-        );
-    }
-}

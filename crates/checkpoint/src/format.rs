@@ -81,16 +81,6 @@ impl Checkpoint {
         out
     }
 
-    /// Deserialize from [`Checkpoint::to_bytes`] output.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed blob; [`Checkpoint::try_from_bytes`] is the
-    /// non-panicking form (on-disk blobs can be truncated or stale).
-    pub fn from_bytes(data: &[u8]) -> Self {
-        Self::try_from_bytes(data).expect("valid checkpoint blob")
-    }
-
     /// Deserialize from [`Checkpoint::to_bytes`] output, rejecting
     /// malformed blobs instead of panicking — the checkpoint farm reads
     /// blobs back from a reuse directory, where truncated writes and
@@ -113,7 +103,8 @@ impl Checkpoint {
         }
         let header: Header = serde_json::from_slice(&body[..hlen])
             .map_err(|e| format!("header does not parse: {e}"))?;
-        let memory = SparseMemory::deserialize_full(&body[hlen..]);
+        let memory = SparseMemory::deserialize_full(&body[hlen..])
+            .ok_or("memory image is truncated or malformed")?;
         Ok(Checkpoint {
             state: header.state,
             memory,
@@ -228,7 +219,7 @@ mod tests {
     fn byte_roundtrip() {
         let c = sample_checkpoint();
         let blob = c.to_bytes();
-        let mut back = Checkpoint::from_bytes(&blob);
+        let mut back = Checkpoint::try_from_bytes(&blob).expect("round trip");
         assert_eq!(back.state, c.state);
         assert_eq!(back.instret, 1_000_000);
         assert_eq!(back.weight, 0.25);
@@ -252,6 +243,8 @@ mod tests {
         let mut garbled = blob.clone();
         garbled[8] = b'!';
         assert!(Checkpoint::try_from_bytes(&garbled).is_err());
+        // Memory image cut short (a truncated cache file).
+        assert!(Checkpoint::try_from_bytes(&blob[..blob.len() - 1]).is_err());
         // The untouched blob still round-trips.
         assert!(Checkpoint::try_from_bytes(&blob).is_ok());
     }

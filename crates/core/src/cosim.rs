@@ -7,7 +7,7 @@
 //! replay with debugging information enabled.
 
 use crate::archdb::ArchDb;
-use crate::difftest::{AnyRef, DiffError, DiffTest, GlobalMemory, NemuRef, ARCH_REF_NAME};
+use crate::difftest::{DiffError, DiffTest, GlobalMemory, NemuRef};
 use crate::lightsss::{LightSss, Snapshotable};
 use riscv_isa::asm::Program;
 use riscv_isa::mem::SparseMemory;
@@ -21,7 +21,7 @@ pub struct CoSimState {
     /// The device under test.
     pub sys: XsSystem,
     /// The DiffTest engine (REF harts + global memory + rule stats).
-    pub diff: DiffTest<AnyRef>,
+    pub diff: DiffTest<NemuRef>,
 }
 
 impl Snapshotable for CoSimState {
@@ -127,15 +127,31 @@ const MAX_STANDALONE_SKIP: u64 = 1 << 20;
 impl CoSim {
     /// Boot a program under co-simulation.
     pub fn new(cfg: XsConfig, program: &Program) -> Self {
-        let harts = cfg.cores;
-        let coverage = cfg.coverage;
-        let lifecycle = cfg.lifecycle;
-        let ref_model = cfg
-            .ref_model
-            .clone()
-            .unwrap_or_else(|| ARCH_REF_NAME.to_string());
-        let sys = XsSystem::new(cfg, program);
-        let mut diff = DiffTest::for_program_with_ref(&ref_model, program, harts);
+        let diff = DiffTest::for_program(program, cfg.cores);
+        let (coverage, lifecycle) = (cfg.coverage, cfg.lifecycle);
+        Self::boot(XsSystem::new(cfg, program), diff, coverage, lifecycle)
+    }
+
+    /// Boot co-simulation from an architectural checkpoint: the DUT is
+    /// rebuilt over the checkpointed memory image with core 0 restored
+    /// to the checkpointed state, and the DiffTest REF is a [`NemuRef`]
+    /// resumed from the same state — so commits are verified from the
+    /// first restored instruction on, exactly as in a from-reset run.
+    /// Checkpoints are single-hart (§III-D3 profiles one hart), so the
+    /// configuration is clamped to one core.
+    pub fn from_checkpoint(mut cfg: XsConfig, state: &ArchState, memory: &SparseMemory) -> Self {
+        cfg.cores = 1;
+        let (coverage, lifecycle) = (cfg.coverage, cfg.lifecycle);
+        let mut sys = XsSystem::from_memory(cfg, memory.clone(), state.pc);
+        sys.restore(state);
+        let diff = DiffTest::new(
+            vec![NemuRef::from_state(state.clone(), memory.clone())],
+            GlobalMemory::from_memory(memory.clone()),
+        );
+        Self::boot(sys, diff, coverage, lifecycle)
+    }
+
+    fn boot(sys: XsSystem, mut diff: DiffTest<NemuRef>, coverage: bool, lifecycle: bool) -> Self {
         if coverage {
             diff.coverage = Some(crate::coverage::CommitCoverage::default());
         }
@@ -146,44 +162,6 @@ impl CoSim {
             lightsss: None,
             // Full-trace mode streams a lifecycle record per finished uop;
             // bound the database so the stream keeps only the newest window.
-            archdb: if lifecycle {
-                ArchDb::bounded(LIFECYCLE_TRACE_CAP)
-            } else {
-                ArchDb::new()
-            },
-            debug_mode: false,
-            outs_buf: Vec::new(),
-        }
-    }
-
-    /// Boot co-simulation from an architectural checkpoint: the DUT is
-    /// rebuilt over the checkpointed memory image with core 0 restored
-    /// to the checkpointed state, and the DiffTest REF is the bare
-    /// architectural stepper resumed from the same state — so commits
-    /// are verified from the first restored instruction on, exactly as
-    /// in a from-reset run. Checkpoints are single-hart (§III-D3
-    /// profiles one hart), so the configuration is clamped to one core.
-    pub fn from_checkpoint(mut cfg: XsConfig, state: &ArchState, memory: &SparseMemory) -> Self {
-        cfg.cores = 1;
-        let coverage = cfg.coverage;
-        let lifecycle = cfg.lifecycle;
-        let mut sys = XsSystem::from_memory(cfg, memory.clone(), state.pc);
-        sys.restore(state);
-        let mut diff = DiffTest::new(
-            vec![AnyRef::Arch(NemuRef::from_state(
-                state.clone(),
-                memory.clone(),
-            ))],
-            GlobalMemory::from_memory(memory.clone()),
-        );
-        if coverage {
-            diff.coverage = Some(crate::coverage::CommitCoverage::default());
-        }
-        let state = CoSimState { sys, diff };
-        CoSim {
-            reset: Box::new(state.clone()),
-            state,
-            lightsss: None,
             archdb: if lifecycle {
                 ArchDb::bounded(LIFECYCLE_TRACE_CAP)
             } else {

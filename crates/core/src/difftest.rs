@@ -97,140 +97,6 @@ impl RefModel for NemuRef {
     }
 }
 
-/// A runtime-selected REF personality: the bare architectural stepper
-/// (the default, and what [`NemuRef`] provides) or any interpreter from
-/// [`nemu::registry`] driven through its architectural single-step path.
-///
-/// Enum dispatch keeps [`RefModel`]'s `Clone` bound satisfiable (a
-/// `Box<dyn RefModel>` could not be), and makes the campaign `--ref`
-/// flag a pure configuration choice: DiffTest semantics are identical
-/// across variants, only the REF's internal caching layers differ.
-#[derive(Debug, Clone)]
-pub enum AnyRef {
-    /// The bare architectural stepper (default).
-    Arch(NemuRef),
-    /// `nemu` — the uop-cache interpreter.
-    Nemu(nemu::Nemu),
-    /// `nemu-trace` — the superblock trace tier.
-    Trace(nemu::NemuTrace),
-    /// `spike-like`.
-    Spike(nemu::SpikeLike),
-    /// `dromajo-like`.
-    Dromajo(nemu::DromajoLike),
-    /// `qemu-tci-like`.
-    QemuTci(nemu::QemuTciLike),
-}
-
-/// The `--ref` spelling of the default architectural stepper.
-pub const ARCH_REF_NAME: &str = "arch";
-
-impl AnyRef {
-    /// Boot the default architectural REF.
-    pub fn arch(program: &riscv_isa::asm::Program, hartid: u64) -> Self {
-        AnyRef::Arch(NemuRef::new(program, hartid))
-    }
-
-    /// Boot a REF personality by name — [`ARCH_REF_NAME`] or any
-    /// [`nemu::registry`] personality. Returns `None` for unknown names.
-    pub fn by_name(name: &str, program: &riscv_isa::asm::Program, hartid: u64) -> Option<Self> {
-        let mut r = match name {
-            ARCH_REF_NAME => AnyRef::arch(program, 0),
-            "nemu" => AnyRef::Nemu(nemu::Nemu::new(program)),
-            "nemu-trace" => AnyRef::Trace(nemu::NemuTrace::new(program)),
-            "spike-like" => AnyRef::Spike(nemu::SpikeLike::new(program)),
-            "dromajo-like" => AnyRef::Dromajo(nemu::DromajoLike::new(program)),
-            "qemu-tci-like" => AnyRef::QemuTci(nemu::QemuTciLike::new(program)),
-            _ => return None,
-        };
-        // `interp::boot` hardcodes hart 0; multi-hart presets need the
-        // real id in mhartid.
-        r.hart_mut().state.csr.mhartid = hartid;
-        Some(r)
-    }
-
-    /// Every accepted `--ref` name.
-    pub fn names() -> Vec<&'static str> {
-        let mut v = vec![ARCH_REF_NAME];
-        v.extend(nemu::registry::names());
-        v
-    }
-
-    fn hart(&self) -> &Hart {
-        match self {
-            AnyRef::Arch(r) => &r.hart,
-            AnyRef::Nemu(i) => nemu::Interpreter::hart(i),
-            AnyRef::Trace(i) => nemu::Interpreter::hart(i),
-            AnyRef::Spike(i) => nemu::Interpreter::hart(i),
-            AnyRef::Dromajo(i) => nemu::Interpreter::hart(i),
-            AnyRef::QemuTci(i) => nemu::Interpreter::hart(i),
-        }
-    }
-
-    fn hart_mut(&mut self) -> &mut Hart {
-        match self {
-            AnyRef::Arch(r) => &mut r.hart,
-            AnyRef::Nemu(i) => nemu::Interpreter::hart_mut(i),
-            AnyRef::Trace(i) => nemu::Interpreter::hart_mut(i),
-            AnyRef::Spike(i) => nemu::Interpreter::hart_mut(i),
-            AnyRef::Dromajo(i) => nemu::Interpreter::hart_mut(i),
-            AnyRef::QemuTci(i) => nemu::Interpreter::hart_mut(i),
-        }
-    }
-
-    /// Re-import shadow state in personalities that keep one (the uop
-    /// cache and trace tiers mirror the GPR file for their fast loops).
-    fn resync_shadow(&mut self) {
-        match self {
-            AnyRef::Nemu(i) => i.resync(),
-            AnyRef::Trace(i) => i.resync(),
-            _ => {}
-        }
-    }
-}
-
-impl RefModel for AnyRef {
-    fn step(&mut self) -> StepInfo {
-        match self {
-            AnyRef::Arch(r) => r.step(),
-            AnyRef::Nemu(i) => nemu::Interpreter::step_one(i),
-            AnyRef::Trace(i) => nemu::Interpreter::step_one(i),
-            AnyRef::Spike(i) => nemu::Interpreter::step_one(i),
-            AnyRef::Dromajo(i) => nemu::Interpreter::step_one(i),
-            AnyRef::QemuTci(i) => nemu::Interpreter::step_one(i),
-        }
-    }
-    fn arch_state(&self) -> ArchState {
-        self.hart().state.clone()
-    }
-    fn inject_exception(&mut self, cause: Exception, tval: u64) {
-        self.hart_mut().pending_injection = Some((cause, tval));
-    }
-    fn force_sc_fail(&mut self) {
-        self.hart_mut().force_sc_fail = true;
-    }
-    fn patch_gpr(&mut self, rd: u8, value: u64) {
-        self.hart_mut().state.write_gpr(rd, value);
-        self.resync_shadow();
-    }
-    fn patch_fpr(&mut self, rd: u8, value: u64) {
-        self.hart_mut().state.fpr[rd as usize] = value;
-        self.resync_shadow();
-    }
-    fn patch_mem(&mut self, paddr: u64, size: u64, value: u64) {
-        match self {
-            AnyRef::Arch(r) => r.patch_mem(paddr, size, value),
-            AnyRef::Nemu(i) => nemu::Interpreter::mem_mut(i).write_uint(paddr, size, value),
-            AnyRef::Trace(i) => nemu::Interpreter::mem_mut(i).write_uint(paddr, size, value),
-            AnyRef::Spike(i) => nemu::Interpreter::mem_mut(i).write_uint(paddr, size, value),
-            AnyRef::Dromajo(i) => nemu::Interpreter::mem_mut(i).write_uint(paddr, size, value),
-            AnyRef::QemuTci(i) => nemu::Interpreter::mem_mut(i).write_uint(paddr, size, value),
-        }
-    }
-    fn patch_csr(&mut self, csr: u16, value: u64) {
-        let _ = self.hart_mut().state.csr.write(csr, value);
-    }
-}
-
 /// The Global Memory of §III-B2b: records every store that entered the
 /// DUT's cache hierarchy, across all harts, together with a bounded
 /// per-location history. A load value is "possibly written by other
@@ -668,29 +534,6 @@ impl<R: RefModel> DiffTest<R> {
     }
 }
 
-impl DiffTest<AnyRef> {
-    /// One REF of the named personality per hart over a program.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown personality name — callers (the campaign CLI,
-    /// [`xscore::XsConfig`] consumers) validate against [`AnyRef::names`]
-    /// first.
-    pub fn for_program_with_ref(
-        name: &str,
-        program: &riscv_isa::asm::Program,
-        harts: usize,
-    ) -> Self {
-        let refs = (0..harts)
-            .map(|h| {
-                AnyRef::by_name(name, program, h as u64)
-                    .unwrap_or_else(|| panic!("unknown REF personality `{name}`"))
-            })
-            .collect();
-        DiffTest::new(refs, GlobalMemory::new(program))
-    }
-}
-
 impl DiffTest<NemuRef> {
     /// Convenience constructor: one NEMU REF per hart over a program.
     pub fn for_program(program: &riscv_isa::asm::Program, harts: usize) -> Self {
@@ -698,11 +541,6 @@ impl DiffTest<NemuRef> {
             .map(|h| NemuRef::new(program, h as u64))
             .collect();
         DiffTest::new(refs, GlobalMemory::new(program))
-    }
-
-    /// Patch an FP register in a NEMU REF.
-    pub fn patch_nemu_fpr(&mut self, hart: usize, rd: u8, v: u64) {
-        self.refs[hart].hart.state.fpr[rd as usize] = v;
     }
 }
 

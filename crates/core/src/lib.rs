@@ -52,7 +52,7 @@ pub use cosim::{
     SampleWindowStats,
 };
 pub use coverage::{bucket, CommitCoverage, CoverageMap, FU_CLASS_COUNT, OP_COUNT};
-pub use difftest::{AnyRef, DiffError, DiffTest, GlobalMemory, NemuRef, RefModel, ARCH_REF_NAME};
+pub use difftest::{DiffError, DiffTest, GlobalMemory, NemuRef, RefModel};
 pub use lightsss::{LightSss, Snapshot, Snapshotable, Sss};
 pub use rules::{compare_csrs, CsrFieldKind, CsrFieldRule, CsrRuleTable, DiffRule, RuleStats};
 pub use telemetry::{BpuStats, CacheSnap, CoreSnapshot, PerfSnapshot, TlbStats};

@@ -160,13 +160,6 @@ impl Nemu {
         n
     }
 
-    /// Re-import architectural state after an external write to the hart
-    /// (DiffTest REF patches write `hart.state` directly; the shadow
-    /// register file must follow or the next sync would clobber them).
-    pub fn resync(&mut self) {
-        self.sync_regs_from_hart();
-    }
-
     fn refresh_fast_mem(&mut self) {
         // The fast path assumes flat physical memory: machine mode (or
         // bare satp) and no MPRV redirection.
@@ -564,8 +557,7 @@ impl Interpreter for Nemu {
     }
     fn step_one(&mut self) -> StepInfo {
         // Single-step goes through the architectural slow path so that
-        // probes receive full commit information (this is how NEMU serves
-        // as the DiffTest REF).
+        // callers receive full commit information.
         self.sync_regs_to_hart();
         let info = hart::step(&mut self.hart, &mut self.mem);
         self.sync_regs_from_hart();

@@ -14,9 +14,9 @@
 //! personalities; test tiers derive their sets from it.
 //!
 //! All five share the architectural semantics in [`hart`], so they agree
-//! instruction-for-instruction — which is also what makes [`Nemu`] (via
-//! its architectural slow path) an "easy-to-develop REF for DiffTest"
-//! exactly as the paper uses it.
+//! instruction-for-instruction. DiffTest's REF (`minjie::NemuRef`)
+//! steps that [`hart`] directly — the paper's "easy-to-develop REF for
+//! DiffTest".
 //!
 //! # Example
 //!

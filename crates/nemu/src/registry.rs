@@ -1,7 +1,8 @@
 //! The single registry of interpreter personalities.
 //!
 //! Every tier that fans out over "all interpreters" — the conformance
-//! suite, the Fig. 8 bench shootout, the campaign `--ref` flag, the
+//! suite, the Fig. 8 bench shootout, the `campaign --sample --ref`
+//! profiling engine, the
 //! coverage and fuzz pins — derives its set from here, so adding a
 //! personality cannot silently skip a test tier.
 
@@ -14,7 +15,7 @@ use riscv_isa::asm::Program;
 #[derive(Clone, Copy)]
 pub struct Personality {
     /// Stable name, identical to [`Interpreter::name`] of the built
-    /// interpreter (and to the campaign CLI `--ref` spelling).
+    /// interpreter (and to the `campaign --sample --ref` spelling).
     pub name: &'static str,
     /// Paper counterpart in the Fig. 8 shootout.
     pub paper_counterpart: &'static str,

@@ -244,13 +244,6 @@ impl NemuTrace {
         n
     }
 
-    /// Re-import architectural state after an external write to the hart
-    /// (DiffTest REF patches write `hart.state` directly; the shadow
-    /// register file must follow or the next sync would clobber them).
-    pub fn resync(&mut self) {
-        self.sync_regs_from_hart();
-    }
-
     fn refresh_modes(&mut self) {
         let csr = &self.hart.state.csr;
         self.fetch_fast = !mmu::translation_active(csr, AccessType::Fetch);
@@ -984,8 +977,7 @@ impl Interpreter for NemuTrace {
     }
     fn step_one(&mut self) -> StepInfo {
         // Single-step goes through the architectural slow path so that
-        // probes receive full commit information (this is how the trace
-        // tier serves as a DiffTest REF).
+        // callers receive full commit information.
         self.sync_regs_to_hart();
         let info = hart::step(&mut self.hart, &mut self.mem);
         self.sync_regs_from_hart();

@@ -119,23 +119,23 @@ impl SparseMemory {
     }
 
     /// Rebuild a memory from the output of [`Self::serialize_full`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is truncated or malformed.
-    pub fn deserialize_full(data: &[u8]) -> Self {
-        let n = u64::from_le_bytes(data[..8].try_into().unwrap()) as usize;
-        let mut pages = HashMap::with_capacity(n);
-        let mut off = 8;
-        for _ in 0..n {
-            let k = u64::from_le_bytes(data[off..off + 8].try_into().unwrap());
-            off += 8;
-            let mut page = [0u8; PAGE_SIZE as usize];
-            page.copy_from_slice(&data[off..off + PAGE_SIZE as usize]);
-            off += PAGE_SIZE as usize;
-            pages.insert(k, Arc::new(page));
+    /// Returns `None` if the buffer is truncated or has trailing bytes.
+    pub fn deserialize_full(data: &[u8]) -> Option<Self> {
+        let entry = 8 + PAGE_SIZE as usize;
+        let n = u64::from_le_bytes(data.get(..8)?.try_into().ok()?) as usize;
+        if n.checked_mul(entry)?.checked_add(8)? != data.len() {
+            return None;
         }
-        SparseMemory { pages }
+        let pages = data[8..]
+            .chunks_exact(entry)
+            .map(|c| {
+                let k = u64::from_le_bytes(c[..8].try_into().expect("8 bytes"));
+                let mut page = [0u8; PAGE_SIZE as usize];
+                page.copy_from_slice(&c[8..]);
+                (k, Arc::new(page))
+            })
+            .collect();
+        Some(SparseMemory { pages })
     }
 
     #[inline]
@@ -229,7 +229,8 @@ mod tests {
         m.write_uint(0x10_0000, 8, 2);
         m.write_uint(0xdead_b000, 4, 3);
         let blob = m.serialize_full();
-        let mut back = SparseMemory::deserialize_full(&blob);
+        let mut back = SparseMemory::deserialize_full(&blob).expect("round trip");
+        assert!(SparseMemory::deserialize_full(&blob[..blob.len() - 1]).is_none());
         assert_eq!(back.read_uint(0x0, 8), 1);
         assert_eq!(back.read_uint(0x10_0000, 8), 2);
         assert_eq!(back.read_uint(0xdead_b000, 4), 3);

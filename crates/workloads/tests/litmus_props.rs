@@ -80,7 +80,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Every shape's program decodes and runs identically on all five
-    /// REF personalities, for both hart paths: same exit code, same
+    /// interpreter personalities, for both hart paths: same exit code, same
     /// retired-instruction count.
     #[test]
     fn programs_agree_on_all_personalities(seed in any::<u64>(), shape_idx in 0usize..8, fenced in any::<bool>()) {

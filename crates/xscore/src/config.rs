@@ -148,11 +148,6 @@ pub struct XsConfig {
     /// as O3PipeView text). The cheap layers — stage stamps, the
     /// last-N ring buffer, and the digest — are always on regardless.
     pub lifecycle: bool,
-    /// DiffTest REF personality by name (`"arch"`, `"nemu"`,
-    /// `"nemu-trace"`, ...). `None` selects the default architectural
-    /// stepper. A string rather than an enum: xscore cannot depend on
-    /// the interpreter crate, so resolution happens in the co-sim layer.
-    pub ref_model: Option<String>,
     /// Event-driven idle-cycle skipping: when every core's tick is a
     /// provable no-op, jump the clock to the next scheduled event and
     /// bulk-charge the skipped span. Architecturally invisible (see
@@ -210,7 +205,6 @@ impl XsConfig {
             telemetry: false,
             coverage: false,
             lifecycle: false,
-            ref_model: None,
             event_driven: true,
             inject_l2_race: false,
         }
@@ -259,7 +253,6 @@ impl XsConfig {
             telemetry: false,
             coverage: false,
             lifecycle: false,
-            ref_model: None,
             event_driven: true,
             inject_l2_race: false,
         }
@@ -355,12 +348,6 @@ impl XsConfig {
     /// Enable full-trace lifecycle streaming into ArchDB.
     pub fn with_lifecycle(mut self) -> Self {
         self.lifecycle = true;
-        self
-    }
-
-    /// Select the DiffTest REF personality by name.
-    pub fn with_ref_model(mut self, name: impl Into<String>) -> Self {
-        self.ref_model = Some(name.into());
         self
     }
 

@@ -557,8 +557,12 @@ impl Core {
             let pf = self.arat_fp[i];
             self.prf_fp.write(pf, s.fpr[i]);
         }
-        let pf0 = self.arat_fp[0];
-        self.prf_fp.write(pf0, s.fpr[0]);
+        // The reset RAT pins f0 to the always-zero register, which drops
+        // writes; f0 is a real FP register, so give it its own first.
+        if self.arat_fp[0] == Prf::ZERO {
+            self.arat_fp[0] = self.prf_fp.alloc().expect("free FP register at restore");
+        }
+        self.prf_fp.write(self.arat_fp[0], s.fpr[0]);
         self.csr = s.csr.clone();
         self.fetch_pc = s.pc;
         self.rat_int = self.arat_int;
@@ -2567,6 +2571,18 @@ mod tests {
         core.restore_arch_state(&ArchState::new(boot, 0));
         assert_eq!(core.reservation, None, "stale LR reservation survived restore");
         assert_eq!(core.lr_cycle, 0, "stale LR timestamp survived restore");
+    }
+
+    #[test]
+    fn restore_arch_state_keeps_f0() {
+        // f0 starts pinned to the always-zero physical register; a
+        // restored non-zero value must still read back.
+        let boot = 0x8000_0000u64;
+        let mut core = Core::new(XsConfig::nh(), 0, boot);
+        let mut s = ArchState::new(boot, 0);
+        s.fpr[0] = 0x4000_0000_0000_0000;
+        core.restore_arch_state(&s);
+        assert_eq!(core.arch_state().fpr[0], s.fpr[0], "f0 dropped on restore");
     }
 
     #[test]

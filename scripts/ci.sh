@@ -169,6 +169,41 @@ echo "triage smoke bundle: $bundle_file"
 # The bundle alone must reproduce the divergence at the same commit
 # index (replay exits 0 only on REPRODUCED).
 timeout 300 target/release/replay --bundle "$bundle_file"
+# A bundle written under another schema version must be refused, not
+# replayed (exit 2 names both versions).
+stale_bundle="$bundle_dir/stale.bundle.json"
+python3 - "$bundle_file" "$stale_bundle" <<'EOF'
+import json, sys
+b = json.load(open(sys.argv[1]))
+assert b["schema_version"] == 6, b["schema_version"]
+b["schema_version"] = 5
+json.dump(b, open(sys.argv[2], "w"))
+EOF
+set +e
+timeout 300 target/release/replay --bundle "$stale_bundle" > /dev/null 2> "$stale_bundle.err"
+rc=$?
+set -e
+if [ "$rc" -ne 2 ] || ! grep -q "schema version 5" "$stale_bundle.err"; then
+    echo "stale-schema bundle: expected exit 2 naming the version, got $rc" >&2
+    cat "$stale_bundle.err" >&2
+    exit 1
+fi
+
+echo "== tier-1: --ref applies only to --sample profiling =="
+# DiffTest has one REF: --ref outside --sample, and the retired `arch`
+# spelling under --sample, are usage errors (exit 2).
+for args in "--workloads mcf --ref nemu-trace" "--sample --workloads mcf --ref arch"; do
+    set +e
+    # shellcheck disable=SC2086
+    timeout 60 target/release/campaign $args > /dev/null 2> "$bundle_dir/ref.err"
+    rc=$?
+    set -e
+    if [ "$rc" -ne 2 ] || ! grep -q "^usage:" "$bundle_dir/ref.err"; then
+        echo "campaign $args: expected a usage error (exit 2), got $rc" >&2
+        cat "$bundle_dir/ref.err" >&2
+        exit 1
+    fi
+done
 
 echo "== tier-1: lifecycle smoke (12-job injected bug -> crash ring -> pipeview) =="
 life_report="$(mktemp /tmp/lifecycle-bug.XXXXXX.json)"
@@ -205,7 +240,7 @@ bundled = [j for j in r["jobs"] if j.get("triage")]
 assert bundled, "injected bug produced no triage bundle"
 for j in bundled:
     b = j["triage"]
-    assert b["schema_version"] == 5, b["schema_version"]
+    assert b["schema_version"] == 6, b["schema_version"]
     ring = b["lifecycle_ring"]
     assert ring, f"job {j['index']}: bundle has an empty crash ring"
     assert len(ring) <= 64, f"job {j['index']}: ring overflows its cap: {len(ring)}"
@@ -406,10 +441,10 @@ EOF
 echo "mp race bundle: $mp_bundle"
 timeout 300 target/release/replay --bundle "$mp_bundle"
 
-echo "== tier-1: bench smoke (BENCH_fig8.json + --ref nemu-trace campaign) =="
+echo "== tier-1: bench smoke (BENCH_fig8.json + repeated campaign) =="
 bench_json="$(mktemp /tmp/bench-smoke.XXXXXX.json)"
-trace_a="$(mktemp /tmp/trace-ref-a.XXXXXX.json)"
-trace_b="$(mktemp /tmp/trace-ref-b.XXXXXX.json)"
+trace_a="$(mktemp /tmp/repeat-a.XXXXXX.json)"
+trace_b="$(mktemp /tmp/repeat-b.XXXXXX.json)"
 trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$triage_report" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b"; rm -rf "$bundle_dir" "$fuzz_bundles" "$mp_bundles"' EXIT
 # Reduced fuel keeps the leg fast; the committed BENCH_fig8.json (which
 # golden_bench pins for speed ordering) is generated at full budget.
@@ -419,13 +454,13 @@ python3 - "$bench_json" BENCH_fig8.json <<'EOF'
 import json, math, sys
 r = json.load(open(sys.argv[1]))
 committed = json.load(open(sys.argv[2]))
-assert r["schema_version"] == 4, r["schema_version"]
+assert r["schema_version"] == 5, r["schema_version"]
 assert r["figure"] == "fig8"
 ps = r["personalities"]
 assert len(ps) >= 5, f"personality set shrank: {sorted(ps)}"
 counts = {p["instructions"] for p in ps.values()}
 assert len(counts) == 1, f"personalities disagree on retired instructions: {ps}"
-assert r["campaign"]["ref"] == "nemu-trace"
+assert "ref" not in r["campaign"], r["campaign"]
 assert r["campaign"]["halted"] == r["campaign"]["jobs"] > 0, r["campaign"]
 assert set(r["timing"]["mips"]) == set(ps), "timing.mips personality set drifted"
 cm = r["cycle_model"]
@@ -460,16 +495,14 @@ EOF
 
 cargo test -q --test golden_bench
 
-# The trace tier as the DiffTest REF: same 12-job smoke as step 3, run
-# twice; both must halt everywhere and agree byte for byte once the
-# timing section is dropped.
+# The same 12-job smoke as step 3, run twice; both must halt everywhere
+# and agree byte for byte once the timing section is dropped.
 for f in "$trace_a" "$trace_b"; do
     timeout 600 target/release/campaign \
         --workloads mcf,libquantum \
         --configs small-nh,small-yqh \
         --torture-seeds 0..4 \
         --workers 4 \
-        --ref nemu-trace \
         --out "$f"
 done
 
@@ -482,8 +515,8 @@ assert s["total"] == 12 and s["halted"] == 12, s
 for r in (a, b):
     del r["timing"]
 assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), \
-    "--ref nemu-trace campaign bodies differ between identical runs"
-print("trace-REF campaign OK:", s)
+    "campaign bodies differ between identical runs"
+print("repeated campaign OK:", s)
 EOF
 
 echo "== tier-1: sampling smoke (checkpoint farm -> weighted CPI) =="

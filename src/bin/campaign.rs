@@ -5,8 +5,8 @@
 //! campaign [--workloads mcf,lbm] [--configs small-nh,small-yqh]
 //!          [--torture-seeds 0..8] [--workers 4] [--max-cycles 40000000]
 //!          [--lightsss N] [--inject-bug mul-low-bit|addw-no-sext]
-//!          [--ref arch|nemu|nemu-trace|...] [--telemetry] [--lifecycle]
-//!          [--coverage] [--no-minimize] [--no-triage]
+//!          [--telemetry] [--lifecycle] [--coverage]
+//!          [--no-minimize] [--no-triage]
 //!          [--bundle-dir DIR] [--job-timeout-ms N] [--retries N]
 //!          [--retry-backoff-ms N] [--out report.json]
 //! campaign --fuzz [--rounds N] [--fuzz-jobs N] [--fuzz-seed N]
@@ -25,7 +25,9 @@
 //! scheduled by coverage novelty, with the surviving corpus written to
 //! `--corpus-dir` as one JSON recipe per file. `--sample` runs the
 //! checkpoint farm instead: each workload is profiled on the `--ref`
-//! personality, SimPoint clustering picks representative intervals
+//! personality (the only mode `--ref` applies to; DiffTest always
+//! checks against the NEMU REF), SimPoint clustering picks
+//! representative intervals
 //! (checkpoints cached under `--checkpoint-dir` by content hash), and
 //! one warm-up + detail-window job per checkpoint × config fans across
 //! the pool, aggregating to weighted CPI in the report's `sampling`
@@ -33,7 +35,6 @@
 //! 1 on any divergence/timeout/panic, 2 on usage errors.
 
 use campaign::{run_fuzz, run_sampled, Campaign, FuzzOpts, JobSpec, SampleSpec, Verdict, WorkloadSource};
-use minjie::AnyRef;
 use workloads::TortureConfig;
 use xscore::{InjectedBug, XsConfig};
 
@@ -43,8 +44,7 @@ fn usage(err: &str) -> ! {
         "usage: campaign [--workloads k1,k2] [--configs c1,c2] [--torture-seeds A..B|s1,s2]\n\
          \x20               [--workers N] [--max-cycles N] [--lightsss N]\n\
          \x20               [--inject-bug mul-low-bit|addw-no-sext] [--telemetry] [--lifecycle]\n\
-         \x20               [--coverage]\n\
-         \x20               [--ref NAME] [--no-minimize] [--no-triage] [--bundle-dir DIR]\n\
+         \x20               [--coverage] [--no-minimize] [--no-triage] [--bundle-dir DIR]\n\
          \x20               [--job-timeout-ms N] [--retries N] [--retry-backoff-ms N]\n\
          \x20               [--out FILE]\n\
          \x20      campaign --fuzz [--rounds N] [--fuzz-jobs N] [--fuzz-seed N]\n\
@@ -55,10 +55,10 @@ fn usage(err: &str) -> ! {
          \x20               [--checkpoint-dir DIR] [shared flags above]\n\
          kernels: {}\n\
          configs: {}\n\
-         refs: {}",
+         profiling refs (--sample only): {}",
         workloads::NAMES.join(", "),
         XsConfig::preset_names().join(", "),
-        AnyRef::names().join(", ")
+        nemu::registry::names().join(", ")
     );
     std::process::exit(2);
 }
@@ -202,7 +202,10 @@ fn main() {
         }
     }
     if let Some(r) = &ref_model {
-        if !AnyRef::names().contains(&r.as_str()) {
+        if !sample {
+            usage("--ref names the --sample profiling engine: it requires --sample");
+        }
+        if !nemu::registry::names().contains(&r.as_str()) {
             usage(&format!("unknown --ref `{r}`"));
         }
     }
@@ -223,7 +226,6 @@ fn main() {
             minimize,
             triage,
             lifecycle,
-            ref_model: ref_model.clone(),
             mp,
             inject_l2_race,
         };
@@ -258,9 +260,6 @@ fn main() {
         }
         if !seeds.is_empty() {
             usage("--sample runs checkpoints, not torture seeds: drop --torture-seeds");
-        }
-        if ref_model.as_deref() == Some("arch") {
-            usage("--sample profiles on a registry personality (nemu, nemu-trace, ...), not `arch`");
         }
         let mut s = SampleSpec::new(kernels.clone(), configs.clone()).with_workers(workers);
         if let Some(r) = &ref_model {
@@ -338,9 +337,6 @@ fn main() {
                 }
                 if coverage {
                     spec = spec.with_coverage();
-                }
-                if let Some(r) = &ref_model {
-                    spec = spec.with_ref(r.clone());
                 }
                 spec
             })

@@ -27,7 +27,7 @@ const SMOKE_CYCLES: u64 = 50_000;
 
 fn smoke_report() -> serde::Value {
     let ps = fig8::measure_personalities(Scale::Test, SMOKE_FUEL);
-    let campaign = fig8::measure_campaign("nemu-trace", 4, 1_000_000);
+    let campaign = fig8::measure_campaign(4, 1_000_000);
     let cm = fig8::measure_cycle_model(Scale::Test, SMOKE_CYCLES);
     fig8::build_report("spec-like-suite@Test", SMOKE_FUEL, &ps, &campaign, &cm, 1.0)
 }

@@ -124,13 +124,17 @@ fn weighted_cpi_is_pinned_and_tracks_full_run() {
 /// one worker vs. three produce byte-identical sections, and the
 /// serialized section (weights, CPIs, per-phase stacks) is pure-integer
 /// — no '.' anywhere, so no float rounding can ever skew an estimate.
+/// The FP kernel `namd` restores live FP registers, `f0` included, so
+/// every one of its windows must sample without diverging.
 #[test]
 fn sampling_section_is_byte_identical_and_float_free() {
-    let base = SampleSpec::new(vec!["sjeng".into()], vec!["small-nh".into()])
+    let base = SampleSpec::new(vec!["sjeng".into(), "namd".into()], vec!["small-nh".into()])
         .with_interval(8_000)
         .with_max_checkpoints(3);
     let a = run_sampled(&base.clone().with_workers(1));
     let b = run_sampled(&base.with_workers(3));
+    assert_eq!(a.summary.diverged, 0, "a restored window diverged");
+    assert_eq!(a.summary.sampled, a.summary.total, "every window sampled");
 
     let section = |r: &campaign::CampaignReport| {
         let body: serde::Value =
