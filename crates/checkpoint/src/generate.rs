@@ -5,7 +5,10 @@
 //! basic-block vector per fixed-length instruction interval and cloning
 //! the (copy-on-write) architectural state + memory at every interval
 //! boundary. SimPoint clustering then selects the representative
-//! intervals, and only their checkpoints are kept.
+//! intervals, and only their checkpoints are kept. Profiling and
+//! interval seeking both run through [`nemu::Interpreter::run_blocks`],
+//! so a fast tier profiles at its own dispatch speed rather than one
+//! `step_one` call per instruction.
 
 use crate::format::Checkpoint;
 use crate::simpoint::{simpoints, BbvCollector, SimPoint};
@@ -33,8 +36,8 @@ pub struct CheckpointSet {
     pub total_intervals: u64,
 }
 
-/// Generate SimPoint checkpoints for `program` using the default NEMU
-/// uop-cache tier as the profiling engine.
+/// Generate SimPoint checkpoints for `program` using the farm's default
+/// profiling engine, the superblock `nemu-trace` tier.
 ///
 /// `interval_len` is the interval size in instructions (the paper uses
 /// tens of millions for SPEC; tests use thousands), `k` the maximum
@@ -49,7 +52,7 @@ pub fn generate_checkpoints(
     k: usize,
     max_insts: u64,
 ) -> CheckpointSet {
-    generate_checkpoints_with_ref("nemu", program, interval_len, k, max_insts)
+    generate_checkpoints_with_ref("nemu-trace", program, interval_len, k, max_insts)
 }
 
 /// [`generate_checkpoints`] with an explicit profiling personality from
@@ -79,34 +82,19 @@ pub fn generate_checkpoints_with_ref(
     let mut boundaries: Vec<(ArchState, SparseMemory, u64)> =
         vec![(interp.hart().state.clone(), interp.mem_mut().clone(), 0)];
 
-    let mut block_pc = interp.hart().state.pc;
-    let mut block_len = 0u64;
+    // Each `run_blocks` call stops at the next interval boundary (or the
+    // budget) and reports the block it cut there as a partial block.
     let mut executed = 0u64;
     while !interp.hart().is_halted() {
         assert!(executed < max_insts, "program did not halt while profiling");
-        let info = interp.step_one();
-        executed += 1;
-        block_len += 1;
-        let block_ended = info.inst.ends_block() || info.trap.is_some();
-        if block_ended {
-            bbv.record(block_pc, block_len);
-            block_pc = interp.hart().state.pc;
-            block_len = 0;
-        }
-        if executed % interval_len == 0 {
-            if block_len > 0 {
-                bbv.record(block_pc, block_len);
-                block_len = 0;
-                block_pc = interp.hart().state.pc;
-            }
+        let fuel = (interval_len - executed % interval_len).min(max_insts - executed);
+        executed += interp.run_blocks(fuel, &mut |pc, len| bbv.record(pc, len));
+        if executed.is_multiple_of(interval_len) {
             vectors.push(bbv.finish());
             boundaries.push((interp.hart().state.clone(), interp.mem_mut().clone(), executed));
         }
     }
     // Final partial interval.
-    if block_len > 0 {
-        bbv.record(block_pc, block_len);
-    }
     if bbv.instructions() > 0 {
         vectors.push(bbv.finish());
     }
@@ -157,15 +145,11 @@ pub fn checkpoint_at_interval(
     let mut interp = nemu::registry::boot(ref_name, program)
         .unwrap_or_else(|| panic!("unknown profiling personality `{ref_name}`"));
     let target = interval * interval_len;
-    let mut executed = 0u64;
-    while executed < target {
-        assert!(
-            !interp.hart().is_halted(),
-            "program halted at {executed} instructions, before interval {interval}"
-        );
-        interp.step_one();
-        executed += 1;
-    }
+    let executed = interp.run_blocks(target, &mut |_, _| {});
+    assert!(
+        executed == target,
+        "program halted at {executed} instructions, before interval {interval}"
+    );
     Checkpoint {
         state: interp.hart().state.clone(),
         memory: interp.mem_mut().clone(),

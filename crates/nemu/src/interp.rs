@@ -47,6 +47,34 @@ pub trait Interpreter {
             exit_code: self.hart().halted,
         }
     }
+
+    /// Run like [`Interpreter::run`], reporting basic blocks as they end;
+    /// returns the steps consumed (same unit as `run`'s fuel).
+    ///
+    /// Stops exactly at `max_steps` or at halt. `on_block(entry_pc, len)`
+    /// fires at every block end — an instruction whose
+    /// [`DecodedInst::ends_block`] holds, or a trap — with `len` counted
+    /// in steps; on return the trailing partial block, if any, is
+    /// reported too. This is the BBV profiler's engine: the default
+    /// single-steps, fast tiers override it with their own dispatch loop.
+    fn run_blocks(&mut self, max_steps: u64, on_block: &mut dyn FnMut(u64, u64)) -> u64 {
+        let mut steps = 0;
+        let mut block_pc = self.hart().state.pc;
+        let mut block_start = 0;
+        while steps < max_steps && !self.hart().is_halted() {
+            let info = self.step_one();
+            steps += 1;
+            if info.inst.ends_block() || info.trap.is_some() {
+                on_block(block_pc, steps - block_start);
+                block_pc = self.hart().state.pc;
+                block_start = steps;
+            }
+        }
+        if steps > block_start {
+            on_block(block_pc, steps - block_start);
+        }
+        steps
+    }
 }
 
 /// Load a program image and create a hart at its entry point.

@@ -422,14 +422,13 @@ impl NemuTrace {
         Some(head)
     }
 
-    /// One slow-path architectural step (also used when the fast path is
-    /// unavailable).
-    fn slow_step(&mut self) -> StepInfo {
+    /// One architectural step through [`hart::step`], then the
+    /// invalidation rule: system events flush cached traces and
+    /// translations, and any other CSR write drops the micro-TLBs.
+    fn arch_step(&mut self) -> StepInfo {
         self.sync_regs_to_hart();
         let info = hart::step(&mut self.hart, &mut self.mem);
         self.sync_regs_from_hart();
-        self.stats.slow_steps += 1;
-        // System events invalidate cached traces/translations.
         if matches!(
             info.inst.op,
             Op::FenceI | Op::SfenceVma | Op::Mret | Op::Sret
@@ -449,9 +448,37 @@ impl NemuTrace {
         info
     }
 
-    /// The trace execution loop; returns steps consumed.
-    fn run_fast(&mut self, max_steps: u64) -> u64 {
+    /// The trace execution loop; returns steps consumed. Block ends
+    /// (the [`Interpreter::run_blocks`] contract) go to `on_block`; with
+    /// a no-op hook the block bookkeeping is dead code and compiles out.
+    fn run_fast<F: FnMut(u64, u64) + ?Sized>(&mut self, max_steps: u64, on_block: &mut F) -> u64 {
         let mut steps = 0u64;
+        // The open basic block: entry pc and the step count it began at.
+        let mut block_pc = self.hart.state.pc;
+        let mut block_start = 0u64;
+        // `instret` right after the latest slow step (see the final sync).
+        let mut slow_instret = u64::MAX;
+        // Close the open block after the current step; the next one
+        // opens at `$next`.
+        macro_rules! end_block {
+            ($next:expr) => {{
+                on_block(block_pc, steps - block_start);
+                block_pc = $next;
+                block_start = steps;
+            }};
+        }
+        // Take the current (already counted) step on the architectural
+        // slow path, also used when the fast path is unavailable.
+        macro_rules! slow {
+            () => {{
+                self.stats.slow_steps += 1;
+                let info = self.arch_step();
+                slow_instret = self.hart.instret;
+                if info.inst.ends_block() || info.trap.is_some() {
+                    end_block!(self.hart.state.pc);
+                }
+            }};
+        }
         'outer: while steps < max_steps && !self.hart.is_halted() {
             if self.hart.pending_injection.is_some()
                 || self.hart.state.csr.pending_interrupt().is_some()
@@ -459,8 +486,8 @@ impl NemuTrace {
                 // Control is being redirected: the pending exit edge must
                 // not be patched with the trap vector's trace.
                 self.pending_patch = None;
-                self.slow_step();
                 steps += 1;
+                slow!();
                 continue;
             }
             let pc = self.hart.state.pc;
@@ -472,8 +499,8 @@ impl NemuTrace {
                     Some(u) => u,
                     None => {
                         self.pending_patch = None;
-                        self.slow_step();
                         steps += 1;
+                        slow!();
                         continue;
                     }
                 }
@@ -508,7 +535,7 @@ impl NemuTrace {
                     () => {{
                         self.hart.instret -= 1;
                         self.hart.state.pc = uop.pc;
-                        self.slow_step();
+                        slow!();
                         if self.hart.is_halted() {
                             break 'outer;
                         }
@@ -521,6 +548,7 @@ impl NemuTrace {
                 macro_rules! branch {
                     ($taken:expr) => {{
                         if $taken {
+                            end_block!(uop.tpc);
                             if uop.link != UNRESOLVED {
                                 self.stats.trace_hits += 1;
                                 upc = uop.link;
@@ -530,6 +558,7 @@ impl NemuTrace {
                                 continue 'outer;
                             }
                         } else {
+                            end_block!(uop.next_pc);
                             upc += 1;
                         }
                     }};
@@ -834,10 +863,12 @@ impl NemuTrace {
                         // The target's uops sit in the next slot: writing
                         // the link register is all a direct jump costs.
                         self.regs[uop.rd as usize] = uop.next_pc;
+                        end_block!(uop.tpc);
                         upc += 1;
                     }
                     H_JAL_CHAIN => {
                         self.regs[uop.rd as usize] = uop.next_pc;
+                        end_block!(uop.tpc);
                         self.stats.trace_hits += 1;
                         upc = uop.link;
                     }
@@ -847,6 +878,7 @@ impl NemuTrace {
                         let target =
                             self.regs[uop.rs1 as usize].wrapping_add(uop.imm as u64) & !1;
                         self.regs[uop.rd as usize] = uop.next_pc;
+                        end_block!(target);
                         if uop.link != UNRESOLVED && uop.tpc == target {
                             self.stats.trace_hits += 1;
                             upc = uop.link;
@@ -858,6 +890,7 @@ impl NemuTrace {
                     }
                     H_RET => {
                         let target = self.regs[1] & !1;
+                        end_block!(target);
                         if uop.link != UNRESOLVED && uop.tpc == target {
                             self.stats.trace_hits += 1;
                             upc = uop.link;
@@ -893,7 +926,15 @@ impl NemuTrace {
                 break;
             }
         }
-        self.sync_regs_to_hart();
+        if steps > block_start {
+            on_block(block_pc, steps - block_start);
+        }
+        // After a trailing slow step the hart already holds exact
+        // counters (a trap bumps mcycle alone); only fast retires need
+        // writing back.
+        if self.hart.instret != slow_instret {
+            self.sync_regs_to_hart();
+        }
         steps
     }
 }
@@ -978,33 +1019,20 @@ impl Interpreter for NemuTrace {
     fn step_one(&mut self) -> StepInfo {
         // Single-step goes through the architectural slow path so that
         // callers receive full commit information.
-        self.sync_regs_to_hart();
-        let info = hart::step(&mut self.hart, &mut self.mem);
-        self.sync_regs_from_hart();
-        if matches!(
-            info.inst.op,
-            Op::FenceI | Op::SfenceVma | Op::Mret | Op::Sret
-        ) || info.inst.op == Op::Csrrw && info.inst.csr() == riscv_isa::csr::addr::SATP
-            || info.trap.is_some()
-        {
-            self.flush();
-        } else if matches!(
-            info.inst.op,
-            Op::Csrrw | Op::Csrrs | Op::Csrrc | Op::Csrrwi | Op::Csrrsi | Op::Csrrci
-        ) {
-            self.clear_tlbs();
-        }
-        self.refresh_modes();
-        info
+        self.arch_step()
     }
     fn run(&mut self, max_steps: u64) -> RunResult {
         let start = self.hart.instret;
         self.sync_regs_from_hart();
-        self.run_fast(max_steps);
+        self.run_fast(max_steps, &mut |_, _| {});
         RunResult {
             instructions: self.hart.instret - start,
             exit_code: self.hart.halted,
         }
+    }
+    fn run_blocks(&mut self, max_steps: u64, on_block: &mut dyn FnMut(u64, u64)) -> u64 {
+        self.sync_regs_from_hart();
+        self.run_fast(max_steps, on_block)
     }
 }
 

@@ -43,7 +43,10 @@
 #      schema-clean `sampling` section; every sample window obeys the
 #      top-down identity (CPI-stack sum == window cycles x commit
 #      width), and a second run answering from the checkpoint cache
-#      emits a byte-identical deterministic report body.
+#      emits a byte-identical deterministic report body; a third run
+#      profiling on `dromajo-like` (the single-stepping `run_blocks`
+#      default) into a fresh directory emits the same body as the
+#      `nemu-trace` override once the `ref_model` names are normalized.
 #
 # The campaign step is what the paper calls the verification flow: any
 # DUT regression that makes a workload diverge, hang, or panic fails
@@ -522,8 +525,10 @@ EOF
 echo "== tier-1: sampling smoke (checkpoint farm -> weighted CPI) =="
 sample_a="$(mktemp /tmp/sample-smoke-a.XXXXXX.json)"
 sample_b="$(mktemp /tmp/sample-smoke-b.XXXXXX.json)"
+sample_step="$(mktemp /tmp/sample-smoke-step.XXXXXX.json)"
 ckpt_dir="$(mktemp -d /tmp/sample-ckpts.XXXXXX)"
-trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$triage_report" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b"; rm -rf "$bundle_dir" "$fuzz_bundles" "$mp_bundles" "$ckpt_dir"' EXIT
+ckpt_step_dir="$(mktemp -d /tmp/sample-ckpts-step.XXXXXX)"
+trap 'rm -f "$report" "$perf_report_json" "$perf_snapshot" "$triage_report" "$life_a" "$life_b" "$fuzz_a" "$fuzz_b" "$fuzz_bug" "$mp_a" "$mp_b" "$mp_race" "$bench_json" "$trace_a" "$trace_b" "$sample_a" "$sample_b" "$sample_step"; rm -rf "$bundle_dir" "$fuzz_bundles" "$mp_bundles" "$ckpt_dir" "$ckpt_step_dir"' EXIT
 # Two identical farms sharing one checkpoint directory: the first
 # profiles and materializes the blobs, the second must answer from the
 # cache, and both deterministic bodies must agree byte for byte.
@@ -539,16 +544,31 @@ for f in "$sample_a" "$sample_b"; do
         --out "$f"
 done
 
+# The same farm profiled by single-stepping (`dromajo-like` runs the
+# trait-default `run_blocks`) into its own directory, so it cannot
+# answer from the `nemu-trace` blobs.
+timeout 600 target/release/campaign \
+    --sample \
+    --workloads sjeng \
+    --configs small-nh,small-yqh \
+    --interval 5000 \
+    --max-checkpoints 3 \
+    --checkpoint-dir "$ckpt_step_dir" \
+    --ref dromajo-like \
+    --workers 3 \
+    --out "$sample_step"
+
 blobs=$(ls "$ckpt_dir"/*.ckpt 2>/dev/null | wc -l)
 if [ "$blobs" -lt 2 ]; then
     echo "sampling smoke: expected >= 2 checkpoint blobs in $ckpt_dir, got $blobs" >&2
     exit 1
 fi
 
-python3 - "$sample_a" "$sample_b" <<'EOF'
+python3 - "$sample_a" "$sample_b" "$sample_step" <<'EOF'
 import json, sys
 a = json.load(open(sys.argv[1]))
 b = json.load(open(sys.argv[2]))
+step = json.load(open(sys.argv[3]))
 assert a["schema_version"] == 6, a["schema_version"]
 sampling = a["sampling"]
 assert len(sampling) == 2, f"one summary per config cell: {len(sampling)}"
@@ -572,6 +592,15 @@ for r in (a, b):
     del r["timing"]
 assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), \
     "sampled campaign bodies differ between identical runs (cache round-trip)"
+# Block-granular profiling (nemu-trace override) and the single-stepping
+# trait default must select and measure the very same checkpoints.
+assert [sm["ref_model"] for sm in step["sampling"]] == ["dromajo-like"] * 2, step["sampling"]
+del step["timing"]
+for r in (a, step):
+    for sm in r["sampling"]:
+        sm["ref_model"] = None
+assert json.dumps(a, sort_keys=True) == json.dumps(step, sort_keys=True), \
+    "sampled bodies differ between nemu-trace and dromajo-like profiling"
 print("sampling smoke OK:",
       {f"{sm['config']}": sm["weighted_cpi_milli"] for sm in sampling})
 EOF

@@ -21,9 +21,14 @@
 //! A final block pins the trace-tier invalidation rules (`fence.i`,
 //! `sfence.vma`, satp rewrite, indirect-jump retarget) with programs
 //! whose *results* change if stale traces or micro-TLB entries survive.
+//! The last block pins [`Interpreter::run_blocks`], the BBV profiler's
+//! block-granular engine, against the `step_one` loop it replaced:
+//! block stream, step counts, hart state, SimPoints and checkpoint
+//! bytes, on every personality.
 
 use nemu::registry::PERSONALITIES;
 use nemu::{Interpreter, NemuTrace};
+use proptest::prelude::*;
 use riscv_isa::asm::{reg::*, Asm, Program};
 use riscv_isa::exec::{amo_compute, branch_taken, int_compute};
 use riscv_isa::Op;
@@ -983,4 +988,298 @@ fn rv64a_sc_corner_cases() {
     a.bind(cell_b);
     a.zeros(8);
     assert_eq!(conform(&a.assemble()), 1 + 1 + 1 + 0x11 + 0x12 + 0x22);
+}
+
+// ---------------------------------------------------------------------
+// Block-granular execution: `Interpreter::run_blocks` against the
+// `step_one` profiling loop it replaced
+// ---------------------------------------------------------------------
+
+/// The `step_one` profiling loop, kept as the oracle of
+/// [`Interpreter::run_blocks`]: one step per call, a block closes at
+/// `ends_block()` or a trap, and the block cut by the fuel limit (or a
+/// halt) is flushed before returning.
+fn oracle_run_blocks(
+    e: &mut dyn Interpreter,
+    max_steps: u64,
+    on_block: &mut dyn FnMut(u64, u64),
+) -> u64 {
+    let mut block_pc = e.hart().state.pc;
+    let mut block_len = 0u64;
+    let mut executed = 0u64;
+    while executed < max_steps && !e.hart().is_halted() {
+        let info = e.step_one();
+        executed += 1;
+        block_len += 1;
+        if info.inst.ends_block() || info.trap.is_some() {
+            on_block(block_pc, block_len);
+            block_pc = e.hart().state.pc;
+            block_len = 0;
+        }
+    }
+    if block_len > 0 {
+        on_block(block_pc, block_len);
+    }
+    executed
+}
+
+/// `generate_checkpoints_with_ref` as it was before `run_blocks`: the
+/// same profiling, clustering and materialization, stepping with
+/// [`oracle_run_blocks`]-style `step_one` calls.
+fn oracle_checkpoints(
+    ref_name: &str,
+    program: &Program,
+    interval_len: u64,
+    k: usize,
+    max_insts: u64,
+) -> checkpoint::CheckpointSet {
+    use checkpoint::{simpoints, BbvCollector, Checkpoint, CLUSTER_SEED};
+
+    let mut interp = nemu::registry::boot(ref_name, program).expect("registered personality");
+    let mut bbv = BbvCollector::new();
+    let mut vectors: Vec<Vec<f64>> = Vec::new();
+    let mut boundaries = vec![(interp.hart().state.clone(), interp.mem_mut().clone(), 0)];
+    let mut block_pc = interp.hart().state.pc;
+    let mut block_len = 0u64;
+    let mut executed = 0u64;
+    while !interp.hart().is_halted() {
+        assert!(executed < max_insts, "program did not halt while profiling");
+        let info = interp.step_one();
+        executed += 1;
+        block_len += 1;
+        if info.inst.ends_block() || info.trap.is_some() {
+            bbv.record(block_pc, block_len);
+            block_pc = interp.hart().state.pc;
+            block_len = 0;
+        }
+        if executed.is_multiple_of(interval_len) {
+            if block_len > 0 {
+                bbv.record(block_pc, block_len);
+                block_len = 0;
+                block_pc = interp.hart().state.pc;
+            }
+            vectors.push(bbv.finish());
+            boundaries.push((
+                interp.hart().state.clone(),
+                interp.mem_mut().clone(),
+                executed,
+            ));
+        }
+    }
+    if block_len > 0 {
+        bbv.record(block_pc, block_len);
+    }
+    if bbv.instructions() > 0 {
+        vectors.push(bbv.finish());
+    }
+    let total_intervals = vectors.len() as u64;
+    let points = simpoints(&vectors, k, CLUSTER_SEED);
+    let checkpoints = points
+        .iter()
+        .map(|p| {
+            let (state, memory, instret) = boundaries[p.interval].clone();
+            Checkpoint {
+                state,
+                memory,
+                instret,
+                weight: p.weight,
+                members: p.members,
+                total_intervals,
+                interval: p.interval,
+            }
+        })
+        .collect();
+    checkpoint::CheckpointSet {
+        checkpoints,
+        points,
+        total_instructions: executed,
+        interval_len,
+        total_intervals,
+    }
+}
+
+/// Loop iterations of [`mid_superblock_trap_program`]; every fourth one
+/// takes a load page fault.
+const TRAP_ITERS: i64 = 200;
+
+/// A loop whose superblock takes a load page fault in its middle on
+/// every fourth iteration: Sv39 data translation through
+/// `mstatus.MPRV` (fetches stay M-mode bare), a mapped window the
+/// micro-TLBs serve, and an unmapped gigapage. The M-mode handler
+/// counts the fault and skips the load; the loop head re-arms
+/// `MPP = S`, which `mret` resets. Exits with the fault count.
+fn mid_superblock_trap_program() -> Program {
+    use riscv_isa::csr::addr::{MEPC, MSTATUS, MTVEC, SATP};
+
+    let root: u64 = 0x8300_0000;
+    let mut a = Asm::new(BASE);
+    let handler = a.label();
+    let skip = a.label();
+    a.la(T0, handler);
+    a.csrrw(ZERO, MTVEC, T0);
+    // Root table: VA 0x4000_0000 -> frame 0x8000_0000, identity for
+    // 0x8000_0000; VA 0xc000_0000 stays unmapped.
+    a.li(T0, ((0x8000_0000u64 >> 12) << 10 | PTE_FLAGS) as i64);
+    a.li(T1, (root + 8) as i64);
+    a.sd(T0, 0, T1);
+    a.li(T1, (root + 16) as i64);
+    a.sd(T0, 0, T1);
+    a.li(T0, ((8u64 << 60) | (root >> 12)) as i64);
+    a.csrrw(ZERO, SATP, T0);
+    a.li(T3, ((1u64 << 17) | (1 << 11)) as i64); // MPRV | MPP = S
+    a.li(S0, TRAP_ITERS);
+    a.li(S1, 0x4010_0000);
+    a.li(S2, 0xc000_0000u64 as i64);
+    a.li(A2, 0);
+    let top = a.bound_label();
+    a.csrrs(ZERO, MSTATUS, T3);
+    a.addi(A3, A3, 1);
+    a.sd(A3, 0, S1);
+    a.ld(A4, 0, S1);
+    a.add(A5, A5, A4);
+    a.andi(T1, S0, 3);
+    a.bnez(T1, skip);
+    a.ld(A6, 0, S2); // page fault, mid-superblock
+    a.bind(skip);
+    a.xor(A5, A5, S0);
+    a.addi(S0, S0, -1);
+    a.bnez(S0, top);
+    a.mv(A0, A2);
+    a.ebreak();
+    a.bind(handler);
+    a.addi(A2, A2, 1);
+    a.csrrs(T5, MEPC, ZERO);
+    a.addi(T5, T5, 4);
+    a.csrrw(ZERO, MEPC, T5);
+    a.mret();
+    a.assemble()
+}
+
+/// The block-API inputs: the 12 `Scale::Test` kernels, two torture
+/// seeds (one with RVC), and the mid-superblock trap program.
+fn block_programs() -> Vec<(String, Program)> {
+    let mut v: Vec<(String, Program)> = workloads::NAMES
+        .iter()
+        .map(|n| {
+            (
+                format!("kernel:{n}"),
+                workloads::workload(n, workloads::Scale::Test).program,
+            )
+        })
+        .collect();
+    for (seed, compressed) in [(11u64, false), (29, true)] {
+        let cfg = workloads::TortureConfig {
+            compressed,
+            ..Default::default()
+        };
+        v.push((
+            format!("torture:{seed}"),
+            workloads::random_program(seed, &cfg),
+        ));
+    }
+    v.push(("mid-superblock-trap".into(), mid_superblock_trap_program()));
+    v
+}
+
+/// Drive `run_blocks` on one personality with the fuel splits `fuel`
+/// yields, against [`oracle_run_blocks`] on a twin cut at the same
+/// points: per call, the step count, the `(pc, len)` stream and the
+/// resulting hart state must agree, until the program halts.
+fn check_run_blocks(
+    name: &str,
+    p: &Program,
+    pers: &nemu::registry::Personality,
+    mut fuel: impl FnMut() -> u64,
+) -> Result<(), TestCaseError> {
+    let mut fast = (pers.build)(p);
+    let mut slow = (pers.build)(p);
+    let mut total = 0u64;
+    while !slow.hart().is_halted() {
+        prop_assert!(total < FUEL, "{name} did not halt");
+        let fuel = fuel();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let n = fast.run_blocks(fuel, &mut |pc, len| got.push((pc, len)));
+        let m = oracle_run_blocks(&mut *slow, fuel, &mut |pc, len| want.push((pc, len)));
+        let ctx = format!("{name} on {} at step {total} (fuel {fuel})", pers.name);
+        prop_assert_eq!(n, m, "{ctx}: steps");
+        let i = got.iter().zip(&want).take_while(|(g, w)| g == w).count();
+        prop_assert!(
+            got == want,
+            "{ctx}: block {i} of {} is {:?}, oracle {:?}",
+            want.len(),
+            got.get(i),
+            want.get(i)
+        );
+        let (f, s) = (fast.hart(), slow.hart());
+        prop_assert_eq!(&f.state, &s.state, "{ctx}: arch state");
+        prop_assert_eq!(f.instret, s.instret, "{ctx}: instret");
+        prop_assert_eq!(f.halted, s.halted, "{ctx}: halt");
+        prop_assert_eq!(&f.output, &s.output, "{ctx}: output");
+        total += n;
+    }
+    Ok(())
+}
+
+#[test]
+fn run_blocks_single_steps_through_mid_superblock_traps() {
+    // Fuel 1 cuts right after every trap entry, where the hart's own
+    // counters (mcycle bumped by the trap alone) must survive the
+    // return from `run_blocks`.
+    let p = mid_superblock_trap_program();
+    assert_eq!(conform(&p), (TRAP_ITERS / 4) as u64);
+    for pers in PERSONALITIES {
+        check_run_blocks("mid-superblock-trap", &p, pers, || 1).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// (i) Under random fuel splits, every personality's `run_blocks`
+    /// matches the `step_one` oracle cut at the same points.
+    #[test]
+    fn run_blocks_matches_step_one_oracle(seed in any::<u64>()) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        for (name, p) in block_programs() {
+            for pers in PERSONALITIES {
+                let mut rng = StdRng::seed_from_u64(seed);
+                // Short splits cut blocks and superblocks mid-flow; long
+                // ones let traces form and chain.
+                check_run_blocks(&name, &p, pers, || {
+                    if rng.gen_range(0..2u32) == 0 {
+                        rng.gen_range(1..8u64)
+                    } else {
+                        rng.gen_range(1..20_000u64)
+                    }
+                })?;
+            }
+        }
+    }
+
+    /// (ii) Profiling through `run_blocks` selects the same SimPoints and
+    /// materializes byte-identical checkpoints as the `step_one` loop,
+    /// on every personality.
+    #[test]
+    fn checkpoints_match_step_one_profiling(interval_len in 300u64..6_000, k in 1usize..6) {
+        for (name, p) in block_programs() {
+            for pers in PERSONALITIES {
+                let ctx = format!("{name} on {} (interval {interval_len}, k {k})", pers.name);
+                let got =
+                    checkpoint::generate_checkpoints_with_ref(pers.name, &p, interval_len, k, FUEL);
+                let want = oracle_checkpoints(pers.name, &p, interval_len, k, FUEL);
+                prop_assert_eq!(&got.points, &want.points, "{ctx}: points");
+                prop_assert_eq!(got.total_instructions, want.total_instructions, "{ctx}: total");
+                prop_assert_eq!(got.total_intervals, want.total_intervals, "{ctx}: intervals");
+                prop_assert_eq!(got.checkpoints.len(), want.checkpoints.len(), "{ctx}: count");
+                for (g, w) in got.checkpoints.iter().zip(&want.checkpoints) {
+                    prop_assert!(
+                        g.to_bytes() == w.to_bytes(),
+                        "{ctx}: interval {} bytes",
+                        g.interval
+                    );
+                }
+            }
+        }
+    }
 }
