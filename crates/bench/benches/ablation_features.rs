@@ -4,9 +4,9 @@
 //!    ITTAGE) toggled individually on the kernel suite,
 //! 2. the Spike-like software instruction-cache size sweep of §III-D2
 //!    ("we run different size from 1024 to 32768 ... and select 16384"),
-//! 3. NEMU uop-cache capacity sensitivity.
+//! 3. NEMU trace-buffer capacity sensitivity.
 
-use nemu::{Interpreter, Nemu, SpikeLike};
+use nemu::{Interpreter, NemuTrace, SpikeLike};
 use std::time::Instant;
 use workloads::{all_workloads, workload, Scale};
 use xscore::{XsConfig, XsSystem};
@@ -66,15 +66,15 @@ fn main() {
     println!("(the kernels' static footprints are tiny, so every size achieves ~100%");
     println!("hits; the paper's 1024-to-32768 sweep mattered for SPEC-sized code)");
     println!();
-    println!("== NEMU uop-cache capacity sweep ==");
+    println!("== NEMU trace-buffer capacity sweep ==");
     for cap in [256usize, 1024, 16384] {
-        let mut n = Nemu::with_capacity(&w.program, cap);
+        let mut n = NemuTrace::with_capacity(&w.program, cap);
         let t = Instant::now();
         let r = n.run(100_000_000);
         let mips = r.instructions as f64 / t.elapsed().as_secs_f64() / 1e6;
         println!(
             "capacity {cap:>6}: {mips:>7.1} MIPS  (fills {}, flushes {})",
-            n.stats.uop_fills, n.stats.flushes
+            n.stats.trace_fills, n.stats.flushes
         );
     }
 }

@@ -7,14 +7,14 @@
 //! restore exactly.
 
 use checkpoint::generate_checkpoints;
-use nemu::{Interpreter, Nemu};
+use nemu::{Interpreter, NemuTrace};
 use std::time::Instant;
 use workloads::{workload, Scale};
 
 fn main() {
     let w = workload("bzip2", Scale::Ref);
     // Plain NEMU speed.
-    let mut n = Nemu::new(&w.program);
+    let mut n = NemuTrace::new(&w.program);
     let t0 = Instant::now();
     let r = n.run(500_000_000);
     let el = t0.elapsed();
@@ -34,7 +34,7 @@ fn main() {
     println!("profiling slowdown vs plain NEMU: {:.1}x", plain / prof);
 
     // Restore correctness: each checkpoint resumes to the same exit code.
-    let mut full = Nemu::new(&w.program);
+    let mut full = NemuTrace::new(&w.program);
     let expected = full.run(1_000_000_000).exit_code.expect("halts");
     for c in &set.checkpoints {
         let mut h = c.state.clone();

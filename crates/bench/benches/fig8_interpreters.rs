@@ -1,13 +1,12 @@
-//! Figure 8: performance of Spike, QEMU-TCI, Dromajo and NEMU — plus
-//! this repo's superblock trace tier.
+//! Figure 8: performance of Spike, QEMU-TCI, Dromajo and NEMU.
 //!
 //! Reproduces the paper's interpreter comparison over the SPEC-like
 //! kernel suite, driven by [`nemu::registry`] so every personality is
 //! enrolled automatically. Absolute MIPS differ from the paper's
-//! i9-9900K numbers; the *shape* to check is: the trace tier fastest,
-//! then the NEMU uop-cache tier, Spike-like next (decode cache),
-//! Dromajo-like and QEMU-TCI-like trailing, and the fast tiers'
-//! advantage larger on SPECfp (host FP vs SoftFloat).
+//! i9-9900K numbers; the *shape* to check is: NEMU (`nemu-trace`)
+//! fastest, Spike-like next (decode cache), Dromajo-like and
+//! QEMU-TCI-like trailing, and NEMU's advantage larger on SPECfp (host
+//! FP vs SoftFloat).
 //!
 //! Run with `cargo bench --bench fig8_interpreters` (or via
 //! `scripts/bench.sh`, which also writes `BENCH_fig8.json`).
@@ -72,11 +71,11 @@ fn main() {
         for p in PERSONALITIES {
             print!("  {} {:.1}", p.name, g(p.name));
         }
-        println!("  | nemu-trace/nemu = {:.2}x", g("nemu-trace") / g("nemu"));
+        println!();
     }
     println!();
     println!("paper reference shape: NEMU 733 MIPS vs Spike 142 MIPS (5.16x int),");
-    println!("817 vs 106 (7.71x fp) -- expect the trace tier fastest here, then nemu,");
+    println!("817 vs 106 (7.71x fp) -- expect nemu-trace fastest here,");
     println!("with a larger fp ratio over the SoftFloat engines.");
 
     if let Ok(out) = std::env::var("MINJIE_BENCH_OUT") {

@@ -10,11 +10,11 @@ fn nemu_slice(c: &mut Criterion) {
     let w = workloads::workload("hmmer", workloads::Scale::Ref);
     c.bench_function("nemu_run_100k_insts", |b| {
         use nemu::Interpreter;
-        let mut n = nemu::Nemu::new(&w.program);
-        n.run(1_000); // warm the uop cache
+        let mut n = nemu::NemuTrace::new(&w.program);
+        n.run(1_000); // warm the trace buffers
         b.iter(|| {
             if n.hart().is_halted() {
-                n = nemu::Nemu::new(&w.program);
+                n = nemu::NemuTrace::new(&w.program);
             }
             black_box(n.run(100_000).instructions)
         })

@@ -15,7 +15,7 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 5,
+//!   "schema_version": 6,
 //!   "figure": "fig8",
 //!   "workload": "spec-like-suite@Test",
 //!   "fuel": 200000000,
@@ -60,7 +60,10 @@ use xscore::XsConfig;
 ///
 /// v5: drops `campaign.ref` — DiffTest has a single REF, so the smoke
 /// campaign no longer names one.
-pub const SCHEMA_VERSION: u64 = 5;
+///
+/// v6: the `nemu` uop-cache personality is gone, leaving four
+/// personalities, and `nemu-trace`'s `paper_counterpart` is `"NEMU"`.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// The workload whose sampled-vs-full CPI error the report tracks.
 pub const SAMPLED_WORKLOAD: &str = "sjeng";
@@ -654,7 +657,7 @@ mod tests {
         // Zero instructions (a personality that never ran).
         let mut r = sample();
         if let Some(Value::Object(p)) = r.as_object_mut_key("personalities") {
-            if let Some(Value::Object(e)) = p.get_mut("nemu") {
+            if let Some(Value::Object(e)) = p.get_mut("spike-like") {
                 e.insert("instructions".into(), Value::U64(0));
             }
         }

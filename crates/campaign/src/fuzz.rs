@@ -351,10 +351,14 @@ fn job_spec(r: &Recipe, opts: &FuzzOpts) -> JobSpec {
     spec
 }
 
+/// A live corpus slot: the recipe, its coverage features, and its
+/// novelty at admission.
+type CorpusEntry = (Recipe, Vec<(String, u8)>, u64);
+
 /// Plan one round's recipes: round 0 (or an empty corpus) is pure
 /// exploration; later rounds spend ~3/4 of their slots mutating the
 /// highest-novelty corpus entries and the rest on fresh exploration.
-fn plan_round(opts: &FuzzOpts, round: u64, corpus: &[(Recipe, Vec<(String, u8)>, u64)]) -> Vec<Recipe> {
+fn plan_round(opts: &FuzzOpts, round: u64, corpus: &[CorpusEntry]) -> Vec<Recipe> {
     let slots = opts.jobs_per_round.max(1);
     let config_for = |slot: usize| opts.configs[slot % opts.configs.len()].as_str();
     // With `--mp` on, every other fresh slot explores a litmus recipe;
@@ -400,7 +404,7 @@ fn plan_round(opts: &FuzzOpts, round: u64, corpus: &[(Recipe, Vec<(String, u8)>,
 pub fn run_fuzz(opts: &FuzzOpts) -> FuzzOutcome {
     assert!(!opts.configs.is_empty(), "fuzz needs at least one config preset");
     let mut coverage = CoverageSet::default();
-    let mut corpus: Vec<(Recipe, Vec<(String, u8)>, u64)> = Vec::new();
+    let mut corpus: Vec<CorpusEntry> = Vec::new();
     let mut all_jobs = Vec::new();
     let mut rounds = Vec::new();
     let mut wall = WallClock::default();

@@ -406,11 +406,11 @@ fn execute_sample_job(
             record.perf = stats.perf;
             record.coverage = stats.coverage;
             let w = &stats.window;
-            let cpi_milli = if w.window_instret > 0 {
-                w.window_cycles.saturating_mul(1000) / w.window_instret
-            } else {
-                0
-            };
+            let cpi_milli = w
+                .window_cycles
+                .saturating_mul(1000)
+                .checked_div(w.window_instret)
+                .unwrap_or(0);
             record.sample = Some(SampleRecord {
                 interval: checkpoint.interval as u64,
                 members: checkpoint.members,
@@ -421,7 +421,7 @@ fn execute_sample_job(
                 window_cycles: w.window_cycles,
                 window_instret: w.window_instret,
                 cpi_milli,
-                cpi_stack: w.cpi.clone(),
+                cpi_stack: w.cpi,
                 completed_window: matches!(stats.end, SampleEnd::Window),
                 halted: match stats.end {
                     SampleEnd::Halted(code) => Some(code),

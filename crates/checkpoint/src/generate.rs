@@ -215,7 +215,7 @@ mod tests {
         // Resuming NEMU from each checkpoint and running to the end must
         // give the same exit code as an uninterrupted run.
         let p = two_phase_program();
-        let mut full = nemu::Nemu::new(&p);
+        let mut full = nemu::NemuTrace::new(&p);
         use nemu::Interpreter;
         let expected = full.run(10_000_000).exit_code.expect("halts");
 
@@ -257,7 +257,7 @@ mod tests {
         // stream, so the BBVs — and therefore the clustering and the
         // selected boundary states — must be identical too.
         let p = two_phase_program();
-        let base = generate_checkpoints_with_ref("nemu", &p, 2_000, 3, 10_000_000);
+        let base = generate_checkpoints_with_ref("dromajo-like", &p, 2_000, 3, 10_000_000);
         for name in ["nemu-trace", "spike-like"] {
             let other = generate_checkpoints_with_ref(name, &p, 2_000, 3, 10_000_000);
             assert_eq!(other.total_instructions, base.total_instructions, "{name}");
@@ -275,7 +275,7 @@ mod tests {
         let p = two_phase_program();
         let set = generate_checkpoints(&p, 2_000, 4, 10_000_000);
         for c in &set.checkpoints {
-            let again = checkpoint_at_interval("nemu", &p, 2_000, c.interval as u64);
+            let again = checkpoint_at_interval("dromajo-like", &p, 2_000, c.interval as u64);
             assert_eq!(again.state, c.state, "interval {}", c.interval);
             assert_eq!(again.instret, c.instret);
         }

@@ -329,7 +329,7 @@ pub fn execute<M: PhysMem>(
         }
         LrW | LrD => {
             let va = rs1;
-            if va % d.mem_size() != 0 {
+            if !va.is_multiple_of(d.mem_size()) {
                 return Err(ExecError::new(Exception::LoadAddrMisaligned, va));
             }
             let (raw, pa, mmio) = virt_read(hart, mem, va, d.mem_size(), AccessType::Load)?;
@@ -352,7 +352,7 @@ pub fn execute<M: PhysMem>(
         }
         ScW | ScD => {
             let va = rs1;
-            if va % d.mem_size() != 0 {
+            if !va.is_multiple_of(d.mem_size()) {
                 return Err(ExecError::new(Exception::StoreAddrMisaligned, va));
             }
             // Translate first: a failing SC still needs store permission
@@ -387,7 +387,7 @@ pub fn execute<M: PhysMem>(
         op if d.is_amo() => {
             let va = rs1;
             let size = d.mem_size();
-            if va % size != 0 {
+            if !va.is_multiple_of(size) {
                 return Err(ExecError::new(Exception::StoreAddrMisaligned, va));
             }
             let t = mmu::translate(mem, &hart.state.csr, va, AccessType::Store)

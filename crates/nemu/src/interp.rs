@@ -56,7 +56,7 @@ pub trait Interpreter {
     /// [`DecodedInst::ends_block`] holds, or a trap — with `len` counted
     /// in steps; on return the trailing partial block, if any, is
     /// reported too. This is the BBV profiler's engine: the default
-    /// single-steps, fast tiers override it with their own dispatch loop.
+    /// single-steps; `nemu-trace` overrides it with its own dispatch loop.
     fn run_blocks(&mut self, max_steps: u64, on_block: &mut dyn FnMut(u64, u64)) -> u64 {
         let mut steps = 0;
         let mut block_pc = self.hart().state.pc;
@@ -128,7 +128,7 @@ impl Interpreter for DromajoLike {
 
 /// A Spike-like interpreter: a direct-mapped software instruction cache of
 /// decoded instructions (subject to conflict misses, unlike NEMU's
-/// trace-organized uop cache) and SoftFloat-style software arithmetic for
+/// superblock trace buffers) and SoftFloat-style software arithmetic for
 /// FP add/sub/mul/FMA — the two structural properties the paper credits
 /// for Spike's performance profile.
 #[derive(Debug, Clone)]

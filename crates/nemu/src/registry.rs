@@ -6,7 +6,6 @@
 //! coverage and fuzz pins — derives its set from here, so adding a
 //! personality cannot silently skip a test tier.
 
-use crate::fast::Nemu;
 use crate::interp::{DromajoLike, Interpreter, QemuTciLike, SpikeLike};
 use crate::trace::NemuTrace;
 use riscv_isa::asm::Program;
@@ -41,13 +40,8 @@ pub const PERSONALITIES: &[Personality] = &[
         build: |p| Box::new(SpikeLike::new(p)),
     },
     Personality {
-        name: "nemu",
-        paper_counterpart: "NEMU",
-        build: |p| Box::new(Nemu::new(p)),
-    },
-    Personality {
         name: "nemu-trace",
-        paper_counterpart: "NEMU (trace tier)",
+        paper_counterpart: "NEMU",
         build: |p| Box::new(NemuTrace::new(p)),
     },
 ];
@@ -85,12 +79,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_has_five_personalities_and_unique_names() {
-        let names = names();
-        assert_eq!(names.len(), 5);
-        let set: std::collections::BTreeSet<_> = names.iter().collect();
-        assert_eq!(set.len(), names.len());
+    fn registry_has_four_personalities_and_unique_names() {
+        assert_eq!(
+            names(),
+            ["dromajo-like", "qemu-tci-like", "spike-like", "nemu-trace"]
+        );
         assert!(find("nemu-trace").is_some());
+        assert!(find("nemu").is_none());
         assert!(find("no-such").is_none());
     }
 

@@ -1,10 +1,9 @@
-//! The superblock trace-execution tier: one step past the uop cache of
-//! [`crate::fast`] (paper §III-D1, ROADMAP item 1's DBT-successor).
+//! NEMU's superblock trace-execution tier (paper §III-D1, ROADMAP item
+//! 1's DBT-successor).
 //!
-//! Where [`crate::fast::Nemu`] memoizes one basic block per trace and
-//! re-enters the dispatch loop at every control transfer, this tier
-//! builds **superblocks** — linear trace buffers that span multiple
-//! basic blocks — and keeps control inside them:
+//! Instead of re-entering the dispatch loop at every control transfer,
+//! this tier builds **superblocks** — linear trace buffers that span
+//! multiple basic blocks — and keeps control inside them:
 //!
 //! - **superblock formation**: decode continues straight through
 //!   conditional branches (the fall-through is the next trace slot) and
@@ -32,11 +31,14 @@
 //! `csrrw` to `satp`; micro-TLBs additionally clear on *any* CSR write
 //! (which is what can retarget `satp`/`mstatus.MPRV` without a flush).
 //! Because traces only ever grow between flushes, a patched chain link
-//! can never dangle, so chained transfers skip the target-revalidation
-//! that [`crate::fast::Nemu`]'s `chase` pays on every branch.
+//! can never dangle, so chained transfers skip target revalidation.
+//! FP compute ops are filled as slow uops while `mstatus.FS` is off, so
+//! [`hart::step`] raises illegal-instruction; any `FS` on/off flip
+//! flushes the traces filled under the other setting.
 
 use crate::hart::{self, Hart, StepInfo, MTIME, UART_TX};
 use crate::interp::{Interpreter, RunResult};
+use riscv_isa::csr::mstatus;
 use riscv_isa::exec::int_compute;
 use riscv_isa::fpu::fp_execute;
 use riscv_isa::mem::{PhysMem, SparseMemory};
@@ -192,6 +194,9 @@ pub struct NemuTrace {
     fetch_fast: bool,
     /// Data accesses translate: loads/stores go through the micro-TLBs.
     data_xlat: bool,
+    /// The FPU is on (`mstatus.FS != 0`): FP compute ops may be filled
+    /// as host-FP uops. Traces are flushed whenever this flips.
+    fp_on: bool,
     ltlb: [TlbEntry; 2],
     stlb: [TlbEntry; 2],
     ltlb_next: usize,
@@ -203,7 +208,7 @@ pub struct NemuTrace {
 }
 
 impl NemuTrace {
-    /// Default trace-buffer capacity in uops (matches the uop cache).
+    /// Default trace-buffer capacity in uops.
     pub const DEFAULT_CAPACITY: usize = 16384;
 
     /// Boot a program with the default trace-buffer capacity.
@@ -223,6 +228,7 @@ impl NemuTrace {
     }
 
     fn from_parts_with_capacity(hart: Hart, mem: SparseMemory, capacity: usize) -> Self {
+        let fp_on = hart.state.csr.mstatus & mstatus::FS != 0;
         let mut n = NemuTrace {
             hart,
             mem,
@@ -232,6 +238,7 @@ impl NemuTrace {
             capacity,
             fetch_fast: true,
             data_xlat: false,
+            fp_on,
             ltlb: [TLB_INVALID; 2],
             stlb: [TLB_INVALID; 2],
             ltlb_next: 0,
@@ -248,6 +255,11 @@ impl NemuTrace {
         let csr = &self.hart.state.csr;
         self.fetch_fast = !mmu::translation_active(csr, AccessType::Fetch);
         self.data_xlat = mmu::translation_active(csr, AccessType::Load);
+        let fp_on = csr.mstatus & mstatus::FS != 0;
+        if fp_on != self.fp_on {
+            self.fp_on = fp_on;
+            self.flush();
+        }
     }
 
     fn sync_regs_to_hart(&mut self) {
@@ -356,7 +368,11 @@ impl NemuTrace {
             }
             let raw = self.mem.fetch32(p);
             let d = riscv_isa::decode(raw);
-            let h = classify(&d);
+            let h = match classify(&d) {
+                // With the FPU off, `hart::step` raises the trap.
+                H_HOSTFP if !self.fp_on => H_SLOW,
+                h => h,
+            };
             let rd = if d.rd == 0 { 32 } else { d.rd };
             let imm = match (h, d.op) {
                 // auipc folds pc into the immediate at decode time.
@@ -1079,6 +1095,8 @@ mod tests {
         assert_eq!(t.stats.traces_built, 1, "{:?}", t.stats);
         assert_eq!(t.stats.links_patched, 0, "{:?}", t.stats);
         assert!(t.stats.trace_hits > 9_000, "{:?}", t.stats);
+        // Each static instruction is decoded once.
+        assert!(t.stats.trace_fills < 50, "{:?}", t.stats);
     }
 
     #[test]

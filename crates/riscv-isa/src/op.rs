@@ -513,8 +513,8 @@ impl DecodedInst {
         )
     }
 
-    /// Returns true for instructions that end a basic block in NEMU's
-    /// trace-organized uop cache (control flow + system instructions).
+    /// Returns true for instructions that end a basic block (control
+    /// flow + system instructions), as the BBV profiler counts blocks.
     pub fn ends_block(&self) -> bool {
         self.is_control_flow()
             || matches!(

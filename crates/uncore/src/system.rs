@@ -210,7 +210,7 @@ impl MemSystem {
     /// the caller has proven nothing is due in `(cycle, cycle + n]` — i.e.
     /// `next_event_cycle()` is `None` or `> cycle + n`.
     pub fn advance_idle(&mut self, n: u64) {
-        debug_assert!(self.next_event_cycle().map_or(true, |e| e > self.cycle + n));
+        debug_assert!(self.next_event_cycle().is_none_or(|e| e > self.cycle + n));
         self.cycle += n;
     }
 

@@ -624,12 +624,12 @@ fn lbm(scale: Scale) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nemu::{DromajoLike, Interpreter, Nemu, QemuTciLike, SpikeLike};
+    use nemu::{DromajoLike, Interpreter, NemuTrace, QemuTciLike, SpikeLike};
 
     #[test]
     fn all_kernels_terminate_on_nemu() {
         for w in all_workloads(Scale::Test) {
-            let mut n = Nemu::new(&w.program);
+            let mut n = NemuTrace::new(&w.program);
             let r = n.run(80_000_000);
             assert!(
                 r.exit_code.is_some(),
@@ -649,7 +649,7 @@ mod tests {
     #[test]
     fn interpreters_agree_on_every_kernel() {
         for w in all_workloads(Scale::Test) {
-            let mut n = Nemu::new(&w.program);
+            let mut n = NemuTrace::new(&w.program);
             let mut s = SpikeLike::new(&w.program);
             let rn = n.run(80_000_000);
             let rs = s.run(80_000_000);

@@ -17,7 +17,7 @@
 //!
 //! let suite = all_workloads(Scale::Test);
 //! assert!(suite.len() >= 12);
-//! let mut nemu = nemu::Nemu::new(&suite[0].program);
+//! let mut nemu = nemu::NemuTrace::new(&suite[0].program);
 //! assert!(nemu.run(50_000_000).exit_code.is_some());
 //! ```
 

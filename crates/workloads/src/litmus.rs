@@ -781,7 +781,7 @@ pub fn random_litmus(seed: u64, cfg: &LitmusConfig) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nemu::{Interpreter, Nemu};
+    use nemu::{Interpreter, NemuTrace};
 
     #[test]
     fn clamped_bounds_the_knobs() {
@@ -934,7 +934,7 @@ mod tests {
                 ..LitmusConfig::default()
             };
             let p = random_litmus(3, &cfg);
-            let mut n = Nemu::new(&p);
+            let mut n = NemuTrace::new(&p);
             let r = n.run(10_000_000);
             let code = r.exit_code.expect("single-hart litmus halts");
             assert_eq!(

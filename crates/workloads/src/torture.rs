@@ -474,7 +474,7 @@ pub fn random_program(seed: u64, cfg: &TortureConfig) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nemu::{DromajoLike, Interpreter, Nemu, SpikeLike};
+    use nemu::{DromajoLike, Interpreter, NemuTrace, SpikeLike};
 
     #[test]
     fn clamped_bounds_the_knobs() {
@@ -537,7 +537,7 @@ mod tests {
         ];
         for (mi, keep) in masks.iter().enumerate() {
             let p = t.emit_subset(keep);
-            let mut n = Nemu::new(&p);
+            let mut n = NemuTrace::new(&p);
             let mut d = DromajoLike::new(&p);
             let rn = n.run(10_000_000);
             assert!(rn.exit_code.is_some(), "mask {mi} did not halt");
@@ -551,7 +551,7 @@ mod tests {
         let cfg = TortureConfig::default();
         for seed in 0..20 {
             let p = random_program(seed, &cfg);
-            let mut n = Nemu::new(&p);
+            let mut n = NemuTrace::new(&p);
             let mut s = SpikeLike::new(&p);
             let mut d = DromajoLike::new(&p);
             let rn = n.run(10_000_000);
@@ -570,7 +570,7 @@ mod tests {
         };
         for seed in 50..60 {
             let p = random_program(seed, &cfg);
-            let mut n = Nemu::new(&p);
+            let mut n = NemuTrace::new(&p);
             let mut d = DromajoLike::new(&p);
             let rn = n.run(10_000_000);
             assert!(rn.exit_code.is_some(), "seed {seed} did not halt");
@@ -588,7 +588,7 @@ mod tests {
             ..Default::default()
         };
         let p = random_program(7, &no_mem);
-        let mut n = Nemu::new(&p);
+        let mut n = NemuTrace::new(&p);
         assert!(n.run(10_000_000).exit_code.is_some());
     }
 }

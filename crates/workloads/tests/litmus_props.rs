@@ -4,7 +4,7 @@
 //! per-round sandbox blocks, each hart's result cells are disjoint from
 //! its partner's, and the bounded spins guarantee forward progress even
 //! with a hart missing entirely. Each hart's path must also decode and
-//! run identically on all five REF interpreter personalities, and
+//! run identically on all four REF interpreter personalities, and
 //! `emit_subset` must preserve exactly the kept rounds — these are the
 //! properties the campaign's ddmin minimizer and the outcome oracle
 //! lean on.
@@ -79,12 +79,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every shape's program decodes and runs identically on all five
+    /// Every shape's program decodes and runs identically on all four
     /// interpreter personalities, for both hart paths: same exit code, same
     /// retired-instruction count.
     #[test]
     fn programs_agree_on_all_personalities(seed in any::<u64>(), shape_idx in 0usize..8, fenced in any::<bool>()) {
-        prop_assert!(PERSONALITIES.len() >= 5, "personality registry lost a tier");
+        prop_assert_eq!(PERSONALITIES.len(), 4, "personality registry drifted");
         let cfg = LitmusConfig {
             shape: LitmusShape::ALL[shape_idx],
             fenced,

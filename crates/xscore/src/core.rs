@@ -2187,22 +2187,24 @@ impl Core {
         }
         // PUBS marking.
         let mut high_priority = false;
-        if self.cfg.issue_policy == IssuePolicy::Pubs && is_cf && d.is_branch() {
-            if self.pubs_conf.unconfident(pc) {
-                high_priority = true;
-                // Mark in-flight producers of the branch's operands.
-                let producers: Vec<u64> = [d.rs1, d.rs2]
-                    .iter()
-                    .map(|&r| self.pubs_def.producer_of(r))
-                    .filter(|&s| s != 0)
-                    .collect();
-                for pseq in producers {
-                    if let Some(pe) = self.rob.get_mut(pseq) {
-                        pe.high_priority = true;
-                    }
-                    for iq in &mut self.iqs {
-                        iq.mark_high_priority(pseq);
-                    }
+        if self.cfg.issue_policy == IssuePolicy::Pubs
+            && is_cf
+            && d.is_branch()
+            && self.pubs_conf.unconfident(pc)
+        {
+            high_priority = true;
+            // Mark in-flight producers of the branch's operands.
+            let producers: Vec<u64> = [d.rs1, d.rs2]
+                .iter()
+                .map(|&r| self.pubs_def.producer_of(r))
+                .filter(|&s| s != 0)
+                .collect();
+            for pseq in producers {
+                if let Some(pe) = self.rob.get_mut(pseq) {
+                    pe.high_priority = true;
+                }
+                for iq in &mut self.iqs {
+                    iq.mark_high_priority(pseq);
                 }
             }
         }

@@ -217,7 +217,7 @@ const DS_SERIALIZATION: usize = 6;
 const DS_OTHER: usize = 7;
 
 /// Stable display names for the `dominant_stall` slots.
-pub const DOMINANT_STALL_NAMES: [&'static str; 8] = [
+pub const DOMINANT_STALL_NAMES: [&str; 8] = [
     "retired",
     "frontend_starved",
     "mispredict_recovery",

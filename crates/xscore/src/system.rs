@@ -60,13 +60,13 @@ impl XsSystem {
             // per-core filter copy needed.
             self.cores[0].tick_into(&mut self.mem, &completions, &mut outs[0]);
         } else {
-            for h in 0..self.cores.len() {
+            for (h, out) in outs.iter_mut().enumerate() {
                 let mine: Vec<_> = completions
                     .iter()
                     .filter(|c| c.req.core == h)
                     .cloned()
                     .collect();
-                self.cores[h].tick_into(&mut self.mem, &mine, &mut outs[h]);
+                self.cores[h].tick_into(&mut self.mem, &mine, out);
                 // Same-cycle reservation snoop: an SC success or AMO write
                 // decided during hart `h`'s tick linearizes *now* — later
                 // harts in this cycle (and everyone next cycle) must see
@@ -74,10 +74,10 @@ impl XsSystem {
                 // Waiting for the store's completion drain leaves a full
                 // round-trip window where both harts' SCs succeed from the
                 // same loaded value.
-                if !outs[h].res_kills.is_empty() {
+                if !out.res_kills.is_empty() {
                     let (before, rest) = self.cores.split_at_mut(h);
                     let after = &mut rest[1..];
-                    for &(paddr, size) in &outs[h].res_kills {
+                    for &(paddr, size) in &out.res_kills {
                         for core in before.iter_mut().chain(after.iter_mut()) {
                             core.snoop_remote_store(paddr, size);
                         }

@@ -26,13 +26,13 @@ fn main() {
     let expected: u64 = (1..=100_000).sum();
 
     // 2. Run it on NEMU, the fast interpreter.
-    let mut nemu = nemu::Nemu::new(&program);
+    let mut nemu = nemu::NemuTrace::new(&program);
     let r = nemu.run(10_000_000);
     println!(
-        "NEMU: exit = {:?} after {} instructions (uop-cache fills: {})",
+        "NEMU: exit = {:?} after {} instructions (trace fills: {})",
         r.exit_code,
         r.instructions,
-        nemu.stats.uop_fills
+        nemu.stats.trace_fills
     );
     assert_eq!(r.exit_code, Some(expected));
 

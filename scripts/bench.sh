@@ -7,7 +7,7 @@
 # so diffs of the committed file show real behavior changes; the
 # wall-clock-derived rates (sim-MIPS per personality, campaign jobs/sec)
 # are segregated under "timing". tests/golden_bench.rs checks the schema
-# and pins the trace >= fast >= interp speed ordering.
+# and pins NEMU (nemu-trace) at >= 2x the plain dromajo-like interpreter.
 #
 # Environment knobs (forwarded to the bench harness):
 #   MINJIE_SCALE=ref        larger workload inputs

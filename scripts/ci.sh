@@ -3,6 +3,7 @@
 #
 #   1. release build of the whole workspace,
 #   2. the full test suite (unit + integration + property + doc tests),
+#      and `cargo clippy --workspace` with every warning an error,
 #   3. a smoke verification campaign — 2 workloads x 2 configs x 4
 #      torture seeds (12 jobs) sharded over 4 workers, with a hard
 #      wall-clock timeout and a JSON-validity check on the report,
@@ -62,6 +63,9 @@ cargo test -q
 
 echo "== tier-1: cargo test -q --workspace =="
 cargo test -q --workspace
+
+echo "== tier-1: cargo clippy --workspace (warnings are errors) =="
+cargo clippy --workspace --offline -- -D warnings
 
 echo "== tier-1: smoke campaign (2 workloads x 2 configs x 4 seeds) =="
 report="$(mktemp /tmp/campaign-smoke.XXXXXX.json)"
@@ -194,8 +198,9 @@ fi
 
 echo "== tier-1: --ref applies only to --sample profiling =="
 # DiffTest has one REF: --ref outside --sample, and the retired `arch`
-# spelling under --sample, are usage errors (exit 2).
-for args in "--workloads mcf --ref nemu-trace" "--sample --workloads mcf --ref arch"; do
+# and `nemu` spellings under --sample, are usage errors (exit 2).
+for args in "--workloads mcf --ref nemu-trace" "--sample --workloads mcf --ref arch" \
+    "--sample --workloads mcf --ref nemu"; do
     set +e
     # shellcheck disable=SC2086
     timeout 60 target/release/campaign $args > /dev/null 2> "$bundle_dir/ref.err"
@@ -207,6 +212,13 @@ for args in "--workloads mcf --ref nemu-trace" "--sample --workloads mcf --ref a
         exit 1
     fi
 done
+# The usage message lists exactly the four registered personalities.
+if ! grep -qx "profiling refs (--sample only): dromajo-like, qemu-tci-like, spike-like, nemu-trace" \
+    "$bundle_dir/ref.err"; then
+    echo "campaign --ref nemu: usage does not list the four registered names" >&2
+    cat "$bundle_dir/ref.err" >&2
+    exit 1
+fi
 
 echo "== tier-1: lifecycle smoke (12-job injected bug -> crash ring -> pipeview) =="
 life_report="$(mktemp /tmp/lifecycle-bug.XXXXXX.json)"
@@ -457,10 +469,10 @@ python3 - "$bench_json" BENCH_fig8.json <<'EOF'
 import json, math, sys
 r = json.load(open(sys.argv[1]))
 committed = json.load(open(sys.argv[2]))
-assert r["schema_version"] == 5, r["schema_version"]
+assert r["schema_version"] == 6, r["schema_version"]
 assert r["figure"] == "fig8"
 ps = r["personalities"]
-assert len(ps) >= 5, f"personality set shrank: {sorted(ps)}"
+assert len(ps) == 4, f"personality set drifted: {sorted(ps)}"
 counts = {p["instructions"] for p in ps.values()}
 assert len(counts) == 1, f"personalities disagree on retired instructions: {ps}"
 assert "ref" not in r["campaign"], r["campaign"]

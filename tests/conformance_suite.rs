@@ -3,16 +3,15 @@
 //! Every block below runs one hand-written per-extension program through
 //! every interpreter personality in [`nemu::registry`] — plain
 //! decode-and-execute (`dromajo-like`), bytecode dispatch
-//! (`qemu-tci-like`), decode cache + SoftFloat (`spike-like`), the fast
-//! block-chaining uop cache (`nemu`), and the superblock trace tier
-//! (`nemu-trace`) — and asserts identical architectural state afterwards:
-//! exit code, PC, all 32 GPRs, all 32 FPRs, and the retired-instruction
-//! count.
+//! (`qemu-tci-like`), decode cache + SoftFloat (`spike-like`), and NEMU's
+//! superblock trace tier (`nemu-trace`) — and asserts identical
+//! architectural state afterwards: exit code, PC, all 32 GPRs, all 32
+//! FPRs, and the retired-instruction count.
 //!
 //! This is where fast-path specialization bugs show up: `li`/`mv`/`ret`/
-//! `auipc` shortcuts, discarded x0 writes, block chaining, superblock
-//! formation, exit-edge patching, and load/store micro-TLBs only exist
-//! in the fast tiers, so any divergence from the baselines pins the bug
+//! `auipc` shortcuts, discarded x0 writes, superblock formation,
+//! exit-edge patching, and load/store micro-TLBs only exist in the
+//! trace tier, so any divergence from the baselines pins the bug
 //! to that specialization. The matrix is registry-driven: adding a
 //! personality automatically enrolls it here. A second, pure tier
 //! cross-checks the interpreters against `riscv_isa::exec` directly: for
@@ -45,8 +44,8 @@ fn conform(p: &Program) -> u64 {
         .map(|pers| (pers.name, (pers.build)(p)))
         .collect();
     assert!(
-        engines.len() >= 5,
-        "personality registry lost a tier: {:?}",
+        engines.len() == 4,
+        "personality registry drifted: {:?}",
         nemu::registry::names()
     );
     let (head, rest) = engines.split_first_mut().expect("registry is non-empty");
@@ -335,6 +334,43 @@ fn rv64fd_arithmetic_agrees() {
     a.add(A0, A0, T5);
     a.ebreak();
     assert_eq!(conform(&a.assemble()), 1 + 1 + 0 + 10 + 0);
+}
+
+#[test]
+fn fp_compute_traps_while_fs_is_off() {
+    // `f` runs once with the FPU on, so its `fmadd.d` sits in a cached
+    // trace; then `mstatus.FS` is cleared and every call must trap as
+    // illegal. The handler counts the trap and skips the instruction,
+    // so the program exits 5; a tier that runs the cached `fmadd.d` on
+    // its fast path exits 0.
+    use riscv_isa::csr::addr::{MEPC, MSTATUS, MTVEC};
+    use riscv_isa::csr::mstatus::FS;
+
+    let mut a = Asm::new(BASE);
+    let f = a.label();
+    let handler = a.label();
+    a.la(T0, handler);
+    a.csrrw(ZERO, MTVEC, T0);
+    a.li(A0, 0);
+    a.call(f);
+    a.li(T0, FS as i64);
+    a.csrrc(ZERO, MSTATUS, T0);
+    a.li(S0, 5);
+    let top = a.bound_label();
+    a.call(f);
+    a.addi(S0, S0, -1);
+    a.bnez(S0, top);
+    a.ebreak();
+    a.bind(f);
+    a.fmadd_d(FT0, FT1, FT2, FT0);
+    a.ret();
+    a.bind(handler);
+    a.addi(A0, A0, 1);
+    a.csrrs(T5, MEPC, ZERO);
+    a.addi(T5, T5, 4);
+    a.csrrw(ZERO, MEPC, T5);
+    a.mret();
+    assert_eq!(conform(&a.assemble()), 5);
 }
 
 // ---------------------------------------------------------------------

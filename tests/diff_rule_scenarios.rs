@@ -117,7 +117,7 @@ fn fig3_speculative_page_fault_rule() {
 fn fig3_program_is_fault_free_on_the_ref_alone() {
     // Sanity: NEMU alone (no store buffer) never faults on this program.
     use nemu::Interpreter;
-    let mut n = nemu::Nemu::new(&fig3_program());
+    let mut n = nemu::NemuTrace::new(&fig3_program());
     let r = n.run(10_000_000);
     assert_eq!(r.exit_code, Some(0), "REF sees no page fault");
 }

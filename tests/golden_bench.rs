@@ -9,10 +9,10 @@
 //!    fields must not appear in the body at all.
 //! 2. **File-based** — when the committed `BENCH_fig8.json` is present
 //!    at the repo root, parse it, validate the schema, and pin the
-//!    Fig. 8 speed ordering: the superblock trace tier at least as fast
-//!    as the uop-cache tier, which beats the plain decode-and-execute
-//!    interpreter. (Skipped with a note when the file has not been
-//!    generated; `scripts/bench.sh` writes it.)
+//!    Fig. 8 speed gap: NEMU (`nemu-trace`) at least twice as fast as
+//!    the plain decode-and-execute interpreter. (Skipped with a note
+//!    when the file has not been generated; `scripts/bench.sh` writes
+//!    it.)
 
 use minjie_bench::fig8;
 use workloads::Scale;
@@ -94,18 +94,9 @@ fn committed_report_pins_speed_ordering() {
     let report: serde::Value = serde_json::from_str(&text).expect("BENCH_fig8.json parses");
     fig8::validate(&report).expect("committed BENCH_fig8.json failed schema");
     let trace = fig8::mips_of(&report, "nemu-trace").expect("nemu-trace rate");
-    let fast = fig8::mips_of(&report, "nemu").expect("nemu rate");
     let interp = fig8::mips_of(&report, "dromajo-like").expect("dromajo-like rate");
-    assert!(
-        trace >= fast,
-        "trace tier regressed below the uop-cache tier: {trace:.1} < {fast:.1} MIPS"
-    );
-    assert!(
-        fast >= interp,
-        "uop-cache tier regressed below plain interp: {fast:.1} < {interp:.1} MIPS"
-    );
-    // The paper's headline gap (Fig. 8): the memoizing tiers are
-    // multiples of the plain interpreter, not percent-level wins.
+    // The paper's headline gap (Fig. 8): the memoizing tier is a
+    // multiple of the plain interpreter, not a percent-level win.
     assert!(
         trace >= 2.0 * interp,
         "trace tier no longer clears 2x plain interp: {trace:.1} vs {interp:.1} MIPS"

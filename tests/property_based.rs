@@ -2,7 +2,7 @@
 //! softfloat-vs-host equivalence, COW snapshot isolation, and N-engine
 //! agreement on torture-generated programs.
 
-use nemu::{DromajoLike, Interpreter, Nemu, QemuTciLike, SpikeLike};
+use nemu::{DromajoLike, Interpreter, NemuTrace, QemuTciLike, SpikeLike};
 use proptest::prelude::*;
 use riscv_isa::mem::PhysMem;
 use workloads::{random_program, TortureConfig};
@@ -81,7 +81,7 @@ proptest! {
             ..Default::default()
         };
         let p = random_program(seed, &cfg);
-        let mut n = Nemu::new(&p);
+        let mut n = NemuTrace::new(&p);
         let rn = n.run(5_000_000);
         prop_assert!(rn.exit_code.is_some(), "seed {} did not halt", seed);
         let mut s = SpikeLike::new(&p);
